@@ -13,6 +13,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,29 +63,6 @@ def embed(b, d: int) -> ComplexMatrix:
     """Lift a k x k matrix B to the composite space as I_d (x) B."""
     a = as_matrix(b)
     return np.kron(a, np.eye(d))
-
-
-@dataclass
-class BlockOperator:
-    """A dk x dk matrix together with its block structure."""
-
-    matrix: ComplexMatrix
-    d: int
-    k: int
-
-    def __post_init__(self):
-        self.matrix = as_matrix(self.matrix)
-        if self.matrix.shape != (self.d * self.k,) * 2:
-            raise ShapeMismatch(
-                f"matrix shape {self.matrix.shape} does not match d={self.d}, k={self.k}"
-            )
-
-    def block(self, i: int, j: int) -> ComplexMatrix:
-        d = self.d
-        return self.matrix[i * d:(i + 1) * d, j * d:(j + 1) * d]
-
-    def blocks(self) -> np.ndarray:
-        return to_blocks(self.matrix, self.d, self.k)
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +175,17 @@ class MixedUnitaryEnsemble:
             raise MufactError(f"weights sum to {total!r}, expected 1")
         if self.weights.min(initial=1.0) <= 0.0:
             raise MufactError("weights must be strictly positive")
-        eye = np.eye(self.dim)
-        for m, u in enumerate(self.unitaries):
-            if frob(dagger(u) @ u - eye) > unitary_tol:
-                raise NotUnitary(f"ensemble member {m} is not unitary within tolerance")
+        u = self.unitaries
+        defect = np.conj(u.transpose(0, 2, 1)) @ u - np.eye(self.dim)
+        bad = np.flatnonzero(np.linalg.norm(defect, axis=(1, 2)) > unitary_tol)
+        if bad.size:
+            raise NotUnitary(f"ensemble member {bad[0]} is not unitary within tolerance")
         return self
 
     def apply(self, x) -> ComplexMatrix:
-        m = as_matrix(x)
-        return np.einsum(
-            "m,mab,bc,mdc->ad", self.weights, self.unitaries, m, np.conj(self.unitaries)
-        )
+        ux = self.unitaries @ as_matrix(x)
+        weighted = ux * self.weights[:, None, None]
+        return np.tensordot(weighted, np.conj(self.unitaries), axes=([0, 2], [0, 2]))
 
 
 @dataclass
@@ -259,7 +237,24 @@ class DeltaCompression:
 
     choi: ChoiMatrix
     channel: KrausChannel
-    composed: MixedUnitaryEnsemble | None = field(default=None)
+    ensemble: MixedUnitaryEnsemble | None = field(default=None, repr=False)
+
+    @cached_property
+    def composed(self) -> MixedUnitaryEnsemble | None:
+        """Each input member sandwiched between Weyl unitaries on the block
+        factor: d^2 * M * d^2 members of weight p_m / d^4, built and checked
+        on first access. None when the input was not an ensemble."""
+        phi = self.ensemble
+        if phi is None:
+            return None
+        k = self.choi.k
+        d = phi.dim // k
+        n_w = d * d
+        lifted = np.stack([np.kron(np.eye(k), w) for w in weyl_unitaries(d)])
+        post_v = lifted[:, None] @ phi.unitaries[None]  # (post, m)
+        unitaries = post_v[:, :, None] @ lifted[None, None]  # (post, m, pre)
+        weights = np.tile(np.repeat(phi.weights / (n_w * n_w), n_w), n_w)
+        return MixedUnitaryEnsemble(weights, unitaries.reshape(-1, phi.dim, phi.dim)).check()
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +299,11 @@ def depolarizing_ensemble(d: int) -> MixedUnitaryEnsemble:
     return MixedUnitaryEnsemble(np.full(d * d, 1.0 / (d * d)), ws).check()
 
 
-def apply_ensemble(ensemble: MixedUnitaryEnsemble, x) -> ComplexMatrix:
-    return ensemble.apply(x)
-
-
 def _as_apply(t, dim: int | None = None):
     """Normalise a channel-like object to (apply callable, input dimension)."""
     if isinstance(t, (KrausChannel, MixedUnitaryEnsemble)):
         return t.apply, t.dim
-    if isinstance(t, ChoiMatrix):
-        return t.apply, t.k
-    if isinstance(t, SchurSymbol):
+    if isinstance(t, (ChoiMatrix, SchurSymbol)):
         return t.apply, t.k
     if callable(t):
         if dim is None:
@@ -323,8 +312,29 @@ def _as_apply(t, dim: int | None = None):
     raise TypeError(f"cannot interpret {type(t).__name__} as a channel")
 
 
+def _gram_choi(weights, ops) -> ComplexMatrix:
+    """Choi matrix of X -> sum_m w_m A_m X A_m* as one Gram product.
+
+    Block (i, j) is sum_m w_m A_m[:, i] A_m[:, j]*, so with row m of W the
+    columns of A_m laid end to end, the Choi matrix is (W^T * w) @ conj(W).
+    """
+    m, rows, cols = ops.shape
+    w = ops.transpose(0, 2, 1).reshape(m, rows * cols)
+    return (w.T * weights) @ np.conj(w)
+
+
 def choi_of(t, dim: int | None = None) -> ChoiMatrix:
-    """Assemble the Choi matrix of a map by applying it to every E_ij."""
+    """Choi matrix of a channel-like object.
+
+    Ensembles and Kraus channels go through one Gram product; any other map
+    is applied to every E_ij. A ChoiMatrix is returned as it is.
+    """
+    if isinstance(t, ChoiMatrix):
+        return t
+    if isinstance(t, MixedUnitaryEnsemble):
+        return ChoiMatrix(_gram_choi(t.weights, t.unitaries), t.dim)
+    if isinstance(t, KrausChannel):
+        return ChoiMatrix(_gram_choi(np.ones(len(t.kraus)), np.stack(t.kraus)), t.dim)
     apply, k = _as_apply(t, dim)
     blocks = np.empty((k, k, k, k), dtype=complex)
     e = np.zeros((k, k), dtype=complex)
@@ -360,7 +370,7 @@ def verify_channel(t, dim: int | None = None) -> ChannelReport:
 
     All three are read off the Choi matrix, so any channel-like input works.
     """
-    choi = t if isinstance(t, ChoiMatrix) else choi_of(t, dim)
+    choi = choi_of(t, dim)
     k = choi.k
     cp_res = choi.cp_residual()
     tp_mat = np.array(
@@ -410,42 +420,22 @@ def delta_apply(x, d: int, k: int) -> ComplexMatrix:
 def delta_compress(phi, d: int, k: int) -> DeltaCompression:
     """Compress a channel on the composite space to a map on the grid.
 
-    T(B)_ij = tr_d( Phi(I_d (x) B)_ij ). When phi is a mixed-unitary
-    ensemble, also return the composed ensemble obtained by sandwiching each
-    member between Weyl unitaries on the block factor; it realises the
-    lifted map of T with d^2 * M * d^2 members of weight p_m / d^4.
+    T(B)_ij = tr_d( Phi(I_d (x) B)_ij ). For a mixed-unitary ensemble T is
+    the Kraus sum over (m, r, s) of weight p_m / d whose operator holds
+    entry (r, s) of every d x d block of U_m, so its Choi matrix is one Gram
+    product. The result's `composed` ensemble, which realises the lifted map
+    of T, is built on first access.
     """
     apply, n = _as_apply(phi, d * k)
     if n != d * k:
         raise ShapeMismatch(f"channel acts on dimension {n}, expected {d * k}")
-    blocks = np.empty((k, k, k, k), dtype=complex)
-    e = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            e[i, j] = 1.0
-            blocks[i, j] = compress(apply(embed(e, d)), d, k)
-            e[i, j] = 0.0
-    choi = ChoiMatrix(from_blocks(blocks), k)
-    channel = kraus_from_choi(choi)
-
-    composed = None
     if isinstance(phi, MixedUnitaryEnsemble):
-        lifted = np.stack([np.kron(np.eye(k), w) for w in weyl_unitaries(d)])
-        n_w = d * d
-        m_in = phi.size
-        total = n_w * m_in * n_w
-        weights = np.empty(total)
-        unitaries = np.empty((total, d * k, d * k), dtype=complex)
-        idx = 0
-        for post in lifted:
-            for p_m, v in zip(phi.weights, phi.unitaries):
-                pv = post @ v
-                for pre in lifted:
-                    weights[idx] = p_m / (n_w * n_w)
-                    unitaries[idx] = pv @ pre
-                    idx += 1
-        composed = MixedUnitaryEnsemble(weights, unitaries).check()
-    return DeltaCompression(choi=choi, channel=channel, composed=composed)
+        ops = phi.unitaries.reshape(-1, k, d, k, d).transpose(0, 2, 4, 1, 3)
+        weights = np.repeat(phi.weights / d, d * d)
+        choi = ChoiMatrix(_gram_choi(weights, ops.reshape(-1, k, k)), k)
+        return DeltaCompression(choi, kraus_from_choi(choi), ensemble=phi)
+    choi = choi_of(lambda b: compress(apply(embed(b, d)), d, k), k)
+    return DeltaCompression(choi, kraus_from_choi(choi))
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +449,7 @@ def d_biaverage(t, dim: int | None = None, cp_tol: float = CHANNEL_TOL) -> Compl
     Schur multiplier with symbol b_ij = [T(E_ij)]_ij; this reads the symbol
     off the Choi matrix and raises NotCP if that matrix is not PSD.
     """
-    choi = t if isinstance(t, ChoiMatrix) else choi_of(t, dim)
+    choi = choi_of(t, dim)
     scale = 1.0 + frob(choi.matrix)
     if choi.cp_residual() > cp_tol * scale:
         raise NotCP("Choi matrix has a negative eigenvalue beyond tolerance")
@@ -472,26 +462,26 @@ def biaverage_pm_oracle(t, dim: int | None = None, max_k: int = 8) -> ComplexMat
     """Diagonal biaverage computed literally from +-1 sign matrices.
 
     Enumerates all 2^k sign diagonals on each side, averages the conjugated
-    action on every E_ij over the 4^k sign pairs, checks the result is
-    supported on E_ij alone and reads off the coefficient. Matching the
+    action on every E_ij (read off the Choi matrix) over the 4^k sign pairs,
+    checks the result is supported on E_ij alone and reads off the
+    coefficient. Matching the
     continuous-average symbol exactly is the point: +-1 signs already have
     the second moments the torus average uses.
     """
-    apply, k = _as_apply(t, dim)
+    choi = choi_of(t, dim)
+    k = choi.k
     if k > max_k:
         raise DimensionTooLarge(f"sign enumeration capped at k={max_k}, got k={k}")
+    blocks = to_blocks(choi.matrix, k, k)
     n = 1 << k
     signs = 1.0 - 2.0 * (
         (np.arange(n)[:, None] >> np.arange(k)[None, :]) & 1
     )  # all 2^k sign vectors, one per row
     second = (signs.T @ signs) / n  # E[s_a s_b] over the enumeration
     b = np.empty((k, k), dtype=complex)
-    e = np.zeros((k, k), dtype=complex)
     for i in range(k):
         for j in range(k):
-            e[i, j] = 1.0
-            y = apply(e)
-            e[i, j] = 0.0
+            y = blocks[i, j]
             avg = second[i][:, None] * y * second[j][None, :]
             b[i, j] = avg[i, j]
             avg[i, j] = 0.0

@@ -77,10 +77,15 @@ def _load_tuple_ensemble(path: str) -> UnitaryTupleEnsemble:
     return e
 
 
-def _load_choi(path: str) -> ChoiMatrix:
+def _load_square(path: str, what: str):
     m = fileio.load_matrix(path)
-    if m.shape[0] != m.shape[1]:
-        raise FileFormatError(f"{path}: Choi matrix must be square")
+    if m.shape[0] != m.shape[1] or m.size == 0:
+        raise FileFormatError(f"{path}: {what} must be a non-empty square matrix")
+    return m
+
+
+def _load_choi(path: str) -> ChoiMatrix:
+    m = _load_square(path, "Choi matrix")
     k = math.isqrt(m.shape[0])
     if k * k != m.shape[0]:
         raise FileFormatError(f"{path}: Choi side {m.shape[0]} is not a perfect square")
@@ -197,9 +202,7 @@ def _cmd_correct(args) -> int:
 
 def _cmd_norms(args) -> int:
     t0 = time.perf_counter()
-    a = fileio.load_matrix(args.A)
-    if a.shape[0] != a.shape[1]:
-        raise FileFormatError(f"{args.A}: symbol must be square")
+    a = _load_square(args.A, "symbol")
     est = schur_cb_norm(a)
     results = {
         "cb_lower": est.lower,
@@ -221,7 +224,7 @@ def _cmd_verify(args) -> int:
     for path in args.files:
         try:
             if args.what == "correlation":
-                SchurSymbol(fileio.load_matrix(path)).check()
+                SchurSymbol(_load_square(path, "correlation matrix")).check()
             elif args.what == "ensemble":
                 fileio.load_ensemble(path).check()
             elif args.what == "certificate":

@@ -237,7 +237,7 @@ def tuples_from_ensemble(
         raise ShapeMismatch(
             f"ensemble acts on dimension {ensemble.dim}, expected {d * k}"
         )
-    got = choi_of(ensemble.apply, d * k)
+    got = choi_of(ensemble)
     want = choi_of(lambda x: lift_schur(target, d, x), d * k)
     worst = np.abs(got.matrix - want.matrix).max()
     if worst > tol:

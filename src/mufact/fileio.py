@@ -1,9 +1,10 @@
 """JSON file formats for matrices, ensembles, certificates and run reports.
 
-Matrix entries are stored as [re, im] pairs, row major, at full float
-precision so artifacts round-trip exactly. Reports round every numeric
-result to 12 significant digits so repeated runs of the same command with
-the same seed produce byte-identical result sections.
+Files are single-line JSON with sorted keys. Matrix entries are stored as
+[re, im] pairs, row major, at full float precision so artifacts round-trip
+exactly. Reports round every numeric result to 12 significant digits so
+repeated runs of the same command with the same seed produce byte-identical
+result sections.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from .factorise import GramCertificate, UnitaryTupleEnsemble
 
 
 def save_json(path: str, obj) -> None:
+    # json.dumps without indent runs CPython's C encoder; json.dump never does
+    text = json.dumps(obj, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_json(path: str):
@@ -52,19 +54,29 @@ def matrix_to_json(m) -> dict:
     return {
         "rows": a.shape[0],
         "cols": a.shape[1],
-        "entries": [[float(z.real), float(z.imag)] for z in a.reshape(-1)],
+        "entries": np.stack([a.real, a.imag], axis=-1).reshape(-1, 2).tolist(),
     }
+
+
+def _is_number(x) -> bool:
+    """A finite JSON number; JSON booleans load as bool, a subclass of int."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _count(obj: dict, key: str) -> int:
+    """A non-negative integer field of a JSON object."""
+    value = obj.get(key)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise FileFormatError(f"field {key!r} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise FileFormatError("matrix value must be an object")
-    try:
-        rows, cols, entries = int(obj["rows"]), int(obj["cols"]), obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"bad matrix object: {exc}") from exc
-    if rows < 0 or cols < 0 or not isinstance(entries, list):
-        raise FileFormatError("bad matrix dimensions or entry list")
+    rows, cols, entries = _count(obj, "rows"), _count(obj, "cols"), obj.get("entries")
+    if not isinstance(entries, list):
+        raise FileFormatError("matrix entries must be a list")
     if len(entries) != rows * cols:
         raise FileFormatError(
             f"matrix advertises {rows}x{cols} but carries {len(entries)} entries"
@@ -74,10 +86,8 @@ def matrix_from_json(obj) -> np.ndarray:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise FileFormatError(f"entry {n} is not an [re, im] pair")
         re, im = pair
-        if not (isinstance(re, (int, float)) and isinstance(im, (int, float))):
-            raise FileFormatError(f"entry {n} is not numeric")
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise FileFormatError(f"entry {n} is not finite")
+        if not (_is_number(re) and _is_number(im)):
+            raise FileFormatError(f"entry {n} is not a finite number")
         out[n] = complex(re, im)
     return out.reshape(rows, cols)
 
@@ -97,7 +107,7 @@ def load_matrix(path: str) -> np.ndarray:
 def ensemble_to_json(e: MixedUnitaryEnsemble) -> dict:
     return {
         "n": e.size,
-        "weights": [float(w) for w in e.weights],
+        "weights": e.weights.tolist(),
         "unitaries": [matrix_to_json(u) for u in e.unitaries],
     }
 
@@ -106,7 +116,7 @@ def tuple_ensemble_to_json(e: UnitaryTupleEnsemble) -> dict:
     return {
         "d": e.d,
         "k": e.k,
-        "weights": [float(w) for w in e.weights],
+        "weights": e.weights.tolist(),
         "tuples": [
             [matrix_to_json(u) for u in e.tuples[m]] for m in range(e.size)
         ],
@@ -117,7 +127,7 @@ def _weights_from_json(obj, count: int) -> np.ndarray:
     ws = obj.get("weights")
     if not isinstance(ws, list) or len(ws) != count:
         raise FileFormatError("weight list is missing or has the wrong length")
-    if not all(isinstance(w, (int, float)) and math.isfinite(w) for w in ws):
+    if not all(_is_number(w) for w in ws):
         raise FileFormatError("weights must be finite numbers")
     return np.asarray(ws, dtype=float)
 
@@ -130,17 +140,16 @@ def ensemble_from_json(obj) -> MixedUnitaryEnsemble | UnitaryTupleEnsemble:
         us = obj["unitaries"]
         if not isinstance(us, list) or not us:
             raise FileFormatError("unitary list is missing or empty")
-        if "n" in obj and int(obj["n"]) != len(us):
+        if "n" in obj and _count(obj, "n") != len(us):
             raise FileFormatError("field n disagrees with the unitary count")
         mats = [matrix_from_json(u) for u in us]
         if any(m.shape != mats[0].shape or m.shape[0] != m.shape[1] for m in mats):
             raise FileFormatError("ensemble members must be square and same-sized")
         return MixedUnitaryEnsemble(_weights_from_json(obj, len(mats)), np.stack(mats))
     if "tuples" in obj:
-        try:
-            d, k = int(obj["d"]), int(obj["k"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FileFormatError(f"bad tuple ensemble header: {exc}") from exc
+        d, k = _count(obj, "d"), _count(obj, "k")
+        if d == 0:
+            raise FileFormatError("tuple entries must be at least 1 x 1")
         ts = obj["tuples"]
         if not isinstance(ts, list) or not ts:
             raise FileFormatError("tuple list is missing or empty")
@@ -182,10 +191,14 @@ def certificate_from_json(obj) -> GramCertificate:
         ensemble = ensemble_from_json(obj["ensemble"])
         if not isinstance(ensemble, UnitaryTupleEnsemble):
             raise FileFormatError("certificate ensemble must be in tuple form")
+        achieved = matrix_from_json(obj["achieved"])
+        target = matrix_from_json(obj["target"])
+        if achieved.shape != (ensemble.k,) * 2 or target.shape != achieved.shape:
+            raise FileFormatError("certificate matrices must be k x k for the ensemble's k")
         return GramCertificate(
             ensemble=ensemble,
-            achieved=matrix_from_json(obj["achieved"]),
-            target=matrix_from_json(obj["target"]),
+            achieved=achieved,
+            target=target,
             residual_fro=float(obj["residual_fro"]),
             residual_max=float(obj["residual_max"]),
         )

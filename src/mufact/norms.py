@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MufactError, NotPSD
-from .linalg import as_matrix, dagger, frob, herm_eig, polar, rng_from_seed
-from .channels import _as_apply
+from .linalg import as_matrix, dagger, frob, herm_eig, polar, random_haar_unitary, rng_from_seed
+from .channels import choi_of, to_blocks
 
 
 @dataclass
@@ -174,14 +174,11 @@ def superop_norm_lb(
     the n cyclic shift permutations (the identity among them), followed by
     `starts` seeded Haar unitaries.
     """
-    apply, n = _as_apply(phi, dim)
-    basis = np.empty((n, n, n, n), dtype=complex)
-    e = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            e[i, j] = 1.0
-            basis[i, j] = apply(e)
-            e[i, j] = 0.0
+    choi = choi_of(phi, dim)
+    n = choi.k
+    if n == 0:
+        return 0.0
+    basis = to_blocks(choi.matrix, n, n)
 
     def value(u):
         return np.einsum("ab,abrs->rs", u, basis)
@@ -194,11 +191,7 @@ def superop_norm_lb(
         u = shift @ u
     rng = rng_from_seed(seed, (0xD0,))
     for _ in range(starts):
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q, r = np.linalg.qr(z)
-        dd = np.diagonal(r).copy()
-        dd[dd == 0] = 1.0
-        inits.append(q * (dd / np.abs(dd)))
+        inits.append(random_haar_unitary(n, rng))
 
     best = 0.0
     for u0 in inits:

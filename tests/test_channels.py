@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import mufact.channels as channels
+import mufact.factorise as factorise
 from mufact import (
     ChoiMatrix,
     DimensionTooLarge,
@@ -24,7 +26,9 @@ from mufact import (
     kraus_from_choi,
     lift_channel,
     lift_schur,
+    mu_ensemble_from_tuples,
     random_haar_unitary,
+    random_tuple_ensemble,
     rng_from_seed,
     to_blocks,
     verify_channel,
@@ -197,12 +201,57 @@ def test_delta_compress_produces_unital_channel_and_composed_witness():
     dc = delta_compress(phi, d, k)
     rep = verify_channel(dc.channel)
     assert rep.cp and rep.tp and rep.unital
-    # sandwiched ensemble realises the lifted compressed map
+    # sandwiched ensemble realises the lifted compressed map; built on access
+    assert "composed" not in dc.__dict__
     assert dc.composed is not None
+    assert dc.__dict__["composed"] is dc.composed
     assert dc.composed.size == d * d * n * d * d
     got = choi_of(dc.composed.apply, d * k)
     want = choi_of(lambda x: lift_channel(dc.channel, d, x), d * k)
     assert np.abs(got.matrix - want.matrix).max() <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# closed-form kernels against the generic E_ij assembly
+
+
+@pytest.mark.parametrize("n, members", [(1, 1), (1, 3), (2, 1), (3, 4), (6, 5)])
+def test_closed_form_choi_matches_generic_assembly(n, members):
+    rng = rng_from_seed(70 + 10 * n + members)
+    ens = MixedUnitaryEnsemble(
+        rng.dirichlet(np.ones(members)),
+        [random_haar_unitary(n, rng) for _ in range(members)],
+    )
+    kraus = KrausChannel([rand_complex((n, n), rng) for _ in range(members)])
+    for t in (ens, kraus):
+        generic = choi_of(t.apply, n)  # a bare callable takes the E_ij loop
+        assert np.abs(choi_of(t).matrix - generic.matrix).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d, k, members", [(1, 1, 2), (1, 3, 2), (2, 1, 3), (2, 2, 1), (3, 2, 3)])
+def test_closed_form_delta_compress_matches_generic_branch(d, k, members):
+    rng = rng_from_seed(90 + 10 * d + k)
+    phi = MixedUnitaryEnsemble(
+        rng.dirichlet(np.ones(members)),
+        [random_haar_unitary(d * k, rng) for _ in range(members)],
+    )
+    fast = delta_compress(phi, d, k)
+    generic = delta_compress(phi.apply, d, k)
+    assert np.abs(fast.choi.matrix - generic.choi.matrix).max() <= 1e-12
+    assert generic.composed is None
+
+
+def test_correction_pipeline_leaves_composed_unbuilt(monkeypatch):
+    made = []
+
+    def recording(*args):
+        made.append(channels.delta_compress(*args))
+        return made[-1]
+
+    monkeypatch.setattr(factorise, "delta_compress", recording)
+    ens = random_tuple_ensemble(3, 2, 2, rng_from_seed(95))
+    factorise.correction_pipeline(ens.gram_average(), mu_ensemble_from_tuples(ens), 0.1, 2)
+    assert len(made) == 1 and "composed" not in made[0].__dict__
 
 
 # ---------------------------------------------------------------------------

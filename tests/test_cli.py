@@ -62,6 +62,39 @@ def test_malformed_input_exits_2(tmp_path):
     assert rc == 2
 
 
+def _write(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+EMPTY = {"rows": 0, "cols": 0, "entries": []}
+
+
+def test_norms_on_empty_symbol_exits_2(tmp_path):
+    rc, _, err = run(["norms", "--A", _write(tmp_path / "a.json", EMPTY)])
+    assert rc == 2 and "non-empty square" in err
+
+
+def test_verify_correlation_on_empty_matrix_exits_2(tmp_path):
+    rc, _, err = run(["verify", "--what", "correlation", _write(tmp_path / "c.json", EMPTY)])
+    assert rc == 2 and "non-empty square" in err
+
+
+def test_verify_ensemble_with_non_numeric_count_exits_2(tmp_path):
+    obj = {"n": "x", "weights": [1.0], "unitaries": [fileio.matrix_to_json(np.eye(2))]}
+    rc, _, err = run(["verify", "--what", "ensemble", _write(tmp_path / "e.json", obj)])
+    assert rc == 2 and "field 'n'" in err
+
+
+def test_verify_rejects_json_booleans_with_exit_2(tmp_path):
+    c = {"rows": 1, "cols": 1, "entries": [[True, False]]}
+    rc, _, err = run(["verify", "--what", "correlation", _write(tmp_path / "c.json", c)])
+    assert rc == 2 and "entry 0" in err
+    e = {"weights": [True], "unitaries": [fileio.matrix_to_json(np.eye(2))]}
+    rc, _, err = run(["verify", "--what", "ensemble", _write(tmp_path / "e.json", e)])
+    assert rc == 2 and "weights" in err
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["factorise"])  # missing required arguments
