@@ -43,7 +43,7 @@ from .channels import (
     to_blocks,
     weyl_unitaries,
 )
-from .norms import NormEstimate, schur_cb_norm
+from .norms import NormEstimate, schur_cb_norm, split_bound
 
 GRAM_RECOMPUTE_TOL = 1e-12
 
@@ -702,17 +702,6 @@ class DistanceBound:
     split: float
 
 
-def _psd_split_bound(delta) -> float:
-    """cb bound via the positive and negative parts of a Hermitian residual."""
-    h = 0.5 * (delta + dagger(delta))
-    vals, vecs = np.linalg.eigh(h)
-    pos = (vecs * np.clip(vals, 0.0, None)) @ dagger(vecs)
-    neg = (vecs * np.clip(-vals, 0.0, None)) @ dagger(vecs)
-    top = float(max(0.0, np.real(np.diagonal(pos)).max(initial=0.0)))
-    bot = float(max(0.0, np.real(np.diagonal(neg)).max(initial=0.0)))
-    return top + bot
-
-
 def dist_upper_bound(
     c,
     d: int,
@@ -756,8 +745,7 @@ def dist_upper_bound(
     )
     delta = target - fresh.achieved
     cb = schur_cb_norm(delta)
-    split = _psd_split_bound(delta)
-    candidates.append((min(cb.upper, split), 1, fresh, cb, split))
+    candidates.append((cb.upper, 1, fresh, cb, split_bound(delta)))
 
     value, _, cert, cb_best, split_best = min(candidates, key=lambda t: (t[0], t[1]))
     return DistanceBound(d=d, value=value, certificate=cert, cb=cb_best, split=split_best)

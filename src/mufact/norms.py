@@ -1,11 +1,24 @@
 """Operator and completely bounded norms of Schur multipliers.
 
-The cb norm is bracketed by bisection over the classical two-block
-characterisation: ||S_A||_cb <= t iff some PSD matrix [[P, A], [A*, Q]]
-exists with diag(P) <= t and diag(Q) <= t. Feasibility at a given t is
-decided by Dykstra's alternating projections; a feasible point doubles as a
-certificate, so the returned upper bound is sound even when the iteration
-is stopped early. The lower bound from bisection is heuristic.
+For a Schur multiplier the norm and the cb norm coincide (Haagerup; see
+Paulsen, *Completely Bounded Maps and Operator Algebras*, ch. 8), so both
+ends of the bracket from `schur_cb_norm` are sound bounds on that one
+number.
+
+- The lower end is max(max|a_ij|, ascent), where the ascent maximises the
+  trace norm of D_x A D_y over unit vectors x, y; every value it reaches is
+  |x^T (A o W) y| for a unitary W.
+- The upper end starts at closed-form caps (k * max|a_ij|, the row and
+  column norms, and the split bound) and is lowered by probes of the
+  two-block characterisation: ||S_A||_cb <= t iff some PSD matrix
+  [[P, A], [A*, Q]] exists with diag(P) <= t and diag(Q) <= t. Each probe
+  runs Dykstra's alternating projections at a level t, and every iterate
+  certifies an upper bound of its own, so the upper end is sound even when
+  a probe stops early.
+
+A probe that fails only raises the level the next probe tries; it never
+moves the reported lower end. When the iteration budget runs out the gap
+can stay above `rel_gap`.
 """
 
 from __future__ import annotations
@@ -21,11 +34,15 @@ from .channels import choi_of, to_blocks
 
 @dataclass
 class NormEstimate:
-    """Bracket [lower, upper] for a norm, tagged with how it was computed."""
+    """Bracket [lower, upper] for a norm, tagged with how it was computed.
+
+    `iterations` counts the Dykstra steps spent on the bracket.
+    """
 
     lower: float
     upper: float
     method: str
+    iterations: int = 0
 
     def __post_init__(self):
         if self.lower > self.upper + 1e-9:
@@ -49,6 +66,57 @@ def schur_norm_psd(c) -> float:
     return float(max(0.0, np.real(np.diagonal(a)).max()))
 
 
+def split_bound(a) -> float:
+    """cb bound from the positive and negative parts of a symbol.
+
+    Write A = H + iK with H and K Hermitian, and split each into its
+    positive and negative parts, H = P - N. A PSD symbol's multiplier has
+    cb norm max_i p_ii, so ||S_A||_cb is at most the sum, over the four
+    parts, of each part's largest diagonal entry. For a PSD symbol this is
+    max_i a_ii.
+    """
+    m = as_matrix(a)
+    total = 0.0
+    for h in (0.5 * (m + dagger(m)), 0.5j * (dagger(m) - m)):
+        vals, vecs = np.linalg.eigh(h)
+        weight = np.abs(vecs) ** 2
+        for part in (np.clip(vals, 0.0, None), np.clip(-vals, 0.0, None)):
+            total += float((weight @ part).max(initial=0.0))
+    return total
+
+
+def _ascent_lb(a) -> float:
+    """Sound lower bound on ||S_A||: ascent of ||D_x A D_y||_1 over unit x, y.
+
+    With D_x A D_y = U S V* and B = conj(U V*) o A, the trace norm equals
+    x^T B y, and |x^T B y| <= ||A o conj(U V*)|| <= ||S_A|| since conj(U V*)
+    is unitary. For fixed B the best x is conj(B y)/||B y||, then y is
+    conj(B^T x)/||B^T x||, so every step is an ascent; it stops when a step
+    gains less than 1e-12 relative. The starts are deterministic: uniform,
+    and the normalised row and column norms.
+    """
+    k = a.shape[0]
+    rows = np.linalg.norm(a, axis=1)
+    cols = np.linalg.norm(a, axis=0)
+    flat = np.full(k, k ** -0.5)
+    best = 0.0
+    for x, y in ((flat, flat), (rows / np.linalg.norm(rows), cols / np.linalg.norm(cols))):
+        value = 0.0
+        for _ in range(200):
+            u, _, vh = np.linalg.svd(x[:, None] * a * y[None, :])
+            b = np.conj(u @ vh) * a
+            bx = b @ y
+            x = np.conj(bx) / np.linalg.norm(bx)
+            by = b.T @ x
+            step = float(np.linalg.norm(by))
+            y = np.conj(by) / step
+            if step <= value * (1.0 + 1e-12):
+                break
+            value = step
+        best = max(best, value)
+    return best
+
+
 def _proj_box(m, a, t: float):
     """Project onto {Hermitian M: corner blocks = A, A*; diag real and <= t}."""
     k = a.shape[0]
@@ -59,16 +127,18 @@ def _proj_box(m, a, t: float):
     return h
 
 
-def _cb_probe(a, t: float, x0, max_iters: int, feas_tol: float):
+def _cb_probe(a, t: float, x0, max_iters: int, feas_tol: float, lo: float, rel_gap: float):
     """Dykstra probe of the two-block witness set at level t.
 
     Every PSD-projected iterate y certifies an upper bound on its own: the
     corner block B of y has cb norm at most maxdiag(y), and switching the
     corner from B to A costs at most sqrt(k) * max|A - B| via the row
-    factorisation bound. Returns (feasible, best certified upper bound,
-    iterations used, final iterate); infeasibility is declared when the
-    constraint violation plateaus across a 300-iteration window, which is a
-    heuristic and only influences the bisection bracket.
+    factorisation bound. The probe returns as soon as that bound is within
+    `rel_gap` of `lo`, or the iterate is feasible at t within `feas_tol`.
+    Returns (feasible or closed, best certified upper bound, iterations
+    used, final iterate). Infeasibility is declared when the constraint
+    violation plateaus across a 300-iteration window; that is a heuristic
+    and only moves the level of the next probe.
     """
     k = a.shape[0]
     scale = 1.0 + float(np.abs(a).max())
@@ -94,7 +164,7 @@ def _cb_probe(a, t: float, x0, max_iters: int, feas_tol: float):
         maxdiag = float(np.real(np.diagonal(y)).max())
         upper = min(upper, maxdiag + sqrt_k * corner_err)
         viol = max(corner_err, maxdiag - t, 0.0)
-        if viol <= feas_tol * scale:
+        if upper - lo <= rel_gap * upper or viol <= feas_tol * scale:
             return True, upper, it, x
         best = min(best, viol)
         if it % window == 0:
@@ -117,12 +187,16 @@ def schur_cb_norm(
 ) -> NormEstimate:
     """Bracket the cb norm of the Schur multiplier with symbol a.
 
-    The upper bound is always sound: every probe iterate yields a certified
-    bound, and the closed-form row/column factorisation bound caps it from
-    the start. The lower bound starts at max|a_ij| (always valid) and is
-    then pushed up by bisection levels the probe failed to certify, which
-    is heuristic. `budget` caps the total Dykstra iterations spent across
-    the whole bisection.
+    Both ends are sound. The lower end is max(max|a_ij|, ascent) and is
+    never moved by probing. The upper end is the least of the closed-form
+    caps and every certified probe bound, so a PSD symbol closes on
+    max_i a_ii without any probe. Otherwise the first probe runs just above
+    the lower end, at lo * (1 + rel_gap / 2); if it does not close the
+    bracket, later probes bisect between the highest failed level and the
+    lowest level found feasible. Probing stops once upper - lower <=
+    rel_gap * upper, or when `budget` (Dykstra iterations in total) or
+    `max_depth` (probes) runs out, in which case the gap can stay above
+    `rel_gap`.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
@@ -134,28 +208,30 @@ def schur_cb_norm(
     # a_ij = <conj(row_i), e_j> gives cb <= max row norm; columns likewise
     row = float(np.linalg.norm(m, axis=1).max())
     col = float(np.linalg.norm(m, axis=0).max())
-    hi = min(k * scale, row, col)
-    lo = scale
-    upper = hi
+    hi = min(k * scale, row, col, split_bound(m))
+    # rounding can leave a cap a hair below max|a_ij| (0.9999999999999998
+    # for [[0, 1], [1, 0]]) or the ascent a hair above a cap
+    lo = max(scale, min(_ascent_lb(m), hi))
+    upper = max(hi, lo)
+    floor, top = lo, upper
+    level = lo * (1.0 + 0.5 * rel_gap)
     warm = None
-    depth = 0
     left = budget
-    while depth < max_depth and left > 0 and hi - lo > rel_gap * hi:
-        mid = 0.5 * (lo + hi)
-        cap = min(left, max(600, left // 3))
-        ok, cand, used, x = _cb_probe(m, mid, warm, cap, feas_tol)
-        left -= used
-        upper = min(upper, cand)
-        if ok:
-            hi = mid
-            warm = x
-        else:
-            lo = mid
-        hi = min(hi, upper)
-        if hi <= lo:
+    for _ in range(max_depth):
+        if left <= 0 or upper - lo <= rel_gap * upper or floor >= top:
             break
-        depth += 1
-    return NormEstimate(min(lo, upper), upper, "dykstra-bisection")
+        cap = min(left, max(600, left // 3))
+        ok, cand, used, x = _cb_probe(m, level, warm, cap, feas_tol, lo, rel_gap)
+        left -= used
+        upper = max(lo, min(upper, cand))
+        warm = x
+        if ok:
+            top = level
+        else:
+            floor = level
+        top = min(top, upper)
+        level = 0.5 * (floor + top)
+    return NormEstimate(lo, upper, "dykstra-bisection", iterations=budget - left)
 
 
 def superop_norm_lb(

@@ -7,6 +7,7 @@ from mufact import (
     MufactError,
     NormEstimate,
     NotPSD,
+    membership_solve,
     random_correlation,
     rng_from_seed,
     schur_apply,
@@ -14,6 +15,7 @@ from mufact import (
     schur_norm_psd,
     superop_norm_lb,
 )
+from mufact.norms import split_bound
 
 
 def test_bracket_invariant():
@@ -75,6 +77,65 @@ def test_cb_bracket_contains_max_diagonal_for_psd():
     assert est.lower <= md + 1e-4
     assert est.upper >= md - 1e-4
     assert est.upper - est.lower <= 1e-3
+
+
+def test_cb_bracket_of_a_psd_gram_symbol_closes_on_its_norm():
+    # for a PSD symbol max|a_ij| = max a_ii is the norm, so the bracket
+    # closes on it with no Dykstra step; the diagonal here is not constant
+    g = np.random.default_rng(1).standard_normal((4, 4))
+    a = g.T @ g
+    est = schur_cb_norm(a)
+    assert est.lower == pytest.approx(schur_norm_psd(a), abs=1e-12)
+    assert est.upper - est.lower <= 1e-4 * est.upper
+    assert est.iterations == 0
+
+
+def test_cb_lower_never_exceeds_max_diagonal_on_psd_symbols():
+    # the seeds and sizes of acceptance criterion 10, plus a Gram symbol
+    # with a non-constant diagonal drawn from the same stream
+    for s in range(50):
+        rng = rng_from_seed(s)
+        k = int(rng.integers(2, 7))
+        scale = abs(rng.normal()) + 0.5
+        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        for a in (scale * random_correlation(k, rng), g.conj().T @ g):
+            md = float(np.real(np.diagonal(a)).max())
+            est = schur_cb_norm(a)
+            assert est.lower <= md + 1e-12
+            assert est.upper - est.lower <= 1e-4 * est.upper
+
+
+def test_failed_probes_spend_budget_but_never_raise_the_lower_end():
+    rng = rng_from_seed(17)
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = 0.5 * (z + z.conj().T)
+    est = schur_cb_norm(h)
+    bare = schur_cb_norm(h, budget=0)
+    assert bare.lower == est.lower
+    assert est.iterations > 0 and bare.iterations == 0
+    assert est.upper <= bare.upper
+
+
+def test_cb_lower_stays_below_a_tighter_certified_upper_on_a_residual():
+    # an indefinite residual of the d = 1 solver: the lower end must not
+    # pass the certified upper end of a longer, tighter run
+    c = random_correlation(4, rng_from_seed(40))
+    a = c - membership_solve(c, 1, atoms=5, restarts=2, max_iters=40, tol=1e-6, seed=0).achieved
+    est = schur_cb_norm(a)
+    tight = schur_cb_norm(a, rel_gap=1e-5, budget=30000)
+    assert np.abs(a).max() <= est.lower <= est.upper
+    assert est.lower <= tight.upper
+
+
+def test_split_bound_is_max_diagonal_on_psd_and_caps_any_symbol():
+    rng = rng_from_seed(18)
+    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    psd = g.conj().T @ g
+    assert split_bound(psd) == pytest.approx(np.real(np.diagonal(psd)).max(), rel=1e-12)
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    est = schur_cb_norm(z, budget=0)
+    assert est.lower <= split_bound(z)
+    assert est.upper <= split_bound(z)
 
 
 def test_schur_norm_psd_is_max_diagonal():
