@@ -24,7 +24,7 @@ from .errors import (
     NotUnitary,
     ShapeMismatch,
 )
-from .linalg import ComplexMatrix, as_matrix, dagger, frob, herm_eig
+from .linalg import ComplexMatrix, as_matrix, dagger, frob, herm_eig, unitarity_defects
 
 WEIGHT_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -69,6 +69,15 @@ def embed(b, d: int) -> ComplexMatrix:
 # channel representations
 
 
+def check_weights(weights: np.ndarray, tol: float) -> None:
+    """Raise unless the weights sum to 1 within tol and are all strictly positive."""
+    total = float(np.sum(weights))
+    if abs(total - 1.0) > tol:
+        raise MufactError(f"weights sum to {total!r}, expected 1")
+    if weights.min(initial=1.0) <= 0.0:
+        raise MufactError("weights must be strictly positive")
+
+
 @dataclass
 class KrausChannel:
     """Completely positive map X -> sum_i A_i X A_i*."""
@@ -102,12 +111,6 @@ class KrausChannel:
         s = sum(a @ dagger(a) for a in self.kraus)
         return frob(s - np.eye(self.kraus[0].shape[0]))
 
-    def is_tp(self, tol: float = CHANNEL_TOL) -> bool:
-        return self.tp_residual() <= tol
-
-    def is_unital(self, tol: float = CHANNEL_TOL) -> bool:
-        return self.unital_residual() <= tol
-
 
 @dataclass
 class ChoiMatrix:
@@ -139,9 +142,6 @@ class ChoiMatrix:
         vals = herm_eig(self.matrix).values
         return float(max(0.0, -vals.min()))
 
-    def is_cp(self, tol: float = CHANNEL_TOL) -> bool:
-        return self.cp_residual() <= tol * (1.0 + frob(self.matrix))
-
 
 @dataclass
 class MixedUnitaryEnsemble:
@@ -170,14 +170,8 @@ class MixedUnitaryEnsemble:
 
     def check(self, weight_tol: float = WEIGHT_TOL, unitary_tol: float = UNITARY_TOL):
         """Raise unless weights form a positive convex combination of unitaries."""
-        total = float(np.sum(self.weights))
-        if abs(total - 1.0) > weight_tol:
-            raise MufactError(f"weights sum to {total!r}, expected 1")
-        if self.weights.min(initial=1.0) <= 0.0:
-            raise MufactError("weights must be strictly positive")
-        u = self.unitaries
-        defect = np.conj(u.transpose(0, 2, 1)) @ u - np.eye(self.dim)
-        bad = np.flatnonzero(np.linalg.norm(defect, axis=(1, 2)) > unitary_tol)
+        check_weights(self.weights, weight_tol)
+        bad = np.flatnonzero(unitarity_defects(self.unitaries) > unitary_tol)
         if bad.size:
             raise NotUnitary(f"ensemble member {bad[0]} is not unitary within tolerance")
         return self

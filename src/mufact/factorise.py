@@ -10,8 +10,6 @@ representations of a given correlation matrix.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +26,15 @@ from .linalg import (
     as_matrix,
     dagger,
     frob,
-    op_norm,
     polar,
     random_haar_unitary,
     rng_from_seed,
     svd,
+    unitarity_defects,
 )
 from .channels import (
     MixedUnitaryEnsemble,
+    check_weights,
     choi_of,
     d_biaverage,
     delta_compress,
@@ -72,10 +71,9 @@ class UnitaryTuple:
         return self.unitaries.shape[1]
 
     def check(self, tol: float = 1e-10):
-        eye = np.eye(self.d)
-        for i, u in enumerate(self.unitaries):
-            if frob(dagger(u) @ u - eye) > tol:
-                raise NotUnitary(f"tuple entry {i} is not unitary within tolerance")
+        bad = _first_block(unitarity_defects(self.unitaries) > tol)
+        if bad is not None:
+            raise NotUnitary(f"tuple entry {bad[0]} is not unitary within tolerance")
         return self
 
 
@@ -106,22 +104,26 @@ class UnitaryTupleEnsemble:
     def d(self) -> int:
         return self.tuples.shape[2]
 
-    def member(self, m: int) -> UnitaryTuple:
-        return UnitaryTuple(self.tuples[m])
-
     def check(self, weight_tol: float = 1e-12, unitary_tol: float = 1e-10):
-        total = float(np.sum(self.weights))
-        if abs(total - 1.0) > weight_tol:
-            raise MufactError(f"weights sum to {total!r}, expected 1")
-        if self.weights.min(initial=1.0) <= 0.0:
-            raise MufactError("weights must be strictly positive")
-        for m in range(self.size):
-            self.member(m).check(unitary_tol)
+        check_weights(self.weights, weight_tol)
+        bad = _first_block(unitarity_defects(self.tuples) > unitary_tol)
+        if bad is not None:
+            raise NotUnitary(f"tuple {bad[0]} entry {bad[1]} is not unitary within tolerance")
         return self
 
     def gram_average(self) -> np.ndarray:
-        grams = np.einsum("miab,mjab->mij", np.conj(self.tuples), self.tuples) / self.d
-        return np.einsum("m,mij->ij", self.weights, grams)
+        return np.einsum("m,mij->ij", self.weights, _grams(self.tuples))
+
+
+def _first_block(mask: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first True entry of a mask over a stack, or None; () on 0-d."""
+    hits = np.argwhere(mask)
+    return tuple(int(i) for i in hits[0]) if len(hits) else None
+
+
+def _grams(stack: np.ndarray) -> np.ndarray:
+    """Gram matrices tr_d(U_i* U_j) of a (..., k, d, d) stack of tuples."""
+    return np.einsum("...iab,...jab->...ij", np.conj(stack), stack) / stack.shape[-1]
 
 
 def gram_matrix(t) -> np.ndarray:
@@ -129,16 +131,21 @@ def gram_matrix(t) -> np.ndarray:
     u = t.unitaries if isinstance(t, UnitaryTuple) else np.asarray(t, dtype=complex)
     if u.ndim != 3 or u.shape[1] != u.shape[2]:
         raise ShapeMismatch(f"expected a (k, d, d) stack, got {u.shape}")
-    return np.einsum("iab,jab->ij", np.conj(u), u) / u.shape[1]
+    return _grams(u)
+
+
+def _haar_tuples(m: int, k: int, d: int, rng) -> np.ndarray:
+    """(m, k, d, d) stack of Haar unitaries, drawn tuple by tuple."""
+    out = np.empty((m, k, d, d), dtype=complex)
+    for idx in np.ndindex(m, k):
+        out[idx] = random_haar_unitary(d, rng)
+    return out
 
 
 def random_tuple_ensemble(k: int, d: int, atoms: int, rng) -> UnitaryTupleEnsemble:
     """Seeded ensemble of Haar tuples with Dirichlet weights."""
     weights = rng.dirichlet(np.ones(atoms))
-    tuples = np.stack(
-        [[random_haar_unitary(d, rng) for _ in range(k)] for _ in range(atoms)]
-    )
-    return UnitaryTupleEnsemble(weights, tuples).check()
+    return UnitaryTupleEnsemble(weights, _haar_tuples(atoms, k, d, rng)).check()
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +258,9 @@ def tuples_from_ensemble(
     if worst_off > tol:
         raise NotBlockDiagonal(f"off-diagonal block of size {worst_off:.3e}")
     diag = blocks[:, range(k), range(k)]  # (size, k, d, d)
-    eye = np.eye(d)
-    for m in range(ensemble.size):
-        for i in range(k):
-            if frob(dagger(diag[m, i]) @ diag[m, i] - eye) > tol:
-                raise NotUnitary(f"diagonal block ({m}, {i}) is not unitary")
+    bad = _first_block(unitarity_defects(diag) > tol)
+    if bad is not None:
+        raise NotUnitary(f"diagonal block {bad} is not unitary")
     tuples = np.conj(diag.transpose(0, 1, 3, 2))
     return UnitaryTupleEnsemble(ensemble.weights.copy(), tuples)
 
@@ -274,22 +279,35 @@ def halmos_dilate(x, tol: float = 1e-9) -> np.ndarray:
     roots would break their intertwining relation at the sqrt(eps) level
     for nearly unitary X. Inputs with operator norm in (1, 1 + tol] are
     rescaled to contractions; larger norms raise NormTooLarge.
+
+    X may also be a (..., d, d) stack; every block is dilated on its own,
+    exactly as if passed alone, into a (..., 2d, 2d) stack. Errors name the
+    first offending block in index order.
     """
-    m = as_matrix(x)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"dilation needs a square matrix, got {m.shape}")
-    d = m.shape[0]
-    nrm = op_norm(m)
-    if nrm > 1.0 + tol:
-        raise NormTooLarge(f"operator norm {nrm!r} exceeds 1 beyond tolerance")
-    if nrm > 1.0:
-        m = m / nrm
+    m = np.asarray(x, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ShapeMismatch(f"dilation needs square matrices, got shape {m.shape}")
+    d = m.shape[-1]
+    nrm = np.linalg.svd(m, compute_uv=False).max(axis=-1, initial=0.0)
+    at = _first_block(nrm > 1.0 + tol)
+    if at is not None:
+        where = f"block {at} " if at else ""
+        raise NormTooLarge(
+            f"{where}operator norm {float(nrm[at])!r} exceeds 1 beyond tolerance"
+        )
+    # dividing by 1.0 leaves the blocks of norm at most 1 unchanged bit for bit
+    m = m / np.where(nrm > 1.0, nrm, 1.0)[..., None, None]
     p, s, qh = svd(m)
     defect = np.sqrt(np.clip(1.0 - s * s, 0.0, None))
-    b = (p * defect) @ qh
-    w = np.block([[m, b], [-b, m]])
-    if frob(dagger(w) @ w - np.eye(2 * d)) > tol:
-        raise MufactError("dilation failed to produce a unitary")
+    b = (p * defect[..., None, :]) @ qh
+    w = np.empty(m.shape[:-2] + (2 * d, 2 * d), dtype=complex)
+    w[..., :d, :d] = w[..., d:, d:] = m
+    w[..., :d, d:] = b
+    w[..., d:, :d] = -b
+    at = _first_block(unitarity_defects(w) > tol)
+    if at is not None:
+        where = f" at block {at}" if at else ""
+        raise MufactError(f"dilation failed to produce a unitary{where}")
     return w
 
 
@@ -326,21 +344,16 @@ def correction_pipeline(
             f"ensemble dimension {phi.dim} does not match d={d} and k={k}"
         )
     phi.check()
-    m_cnt = phi.size
     blocks = np.stack([to_blocks(u, d, k) for u in phi.unitaries])
     diag = blocks[:, range(k), range(k)]  # (M, k, d, d)
 
-    grams = np.einsum("miab,mjab->mij", diag, np.conj(diag)) / d
-    c_tilde = np.einsum("m,mij->ij", phi.weights, grams)
+    c_tilde = np.einsum("m,mij->ij", phi.weights, _grams(np.conj(diag)))
     compressed = delta_compress(phi, d, k)
     via_choi = d_biaverage(compressed.choi)
     if np.abs(c_tilde - via_choi).max() > 1e-9:
         raise MufactError("compressed-map biaverage disagrees with block Grams")
 
-    dil = np.empty((m_cnt, k, 2 * d, 2 * d), dtype=complex)
-    for m in range(m_cnt):
-        for i in range(k):
-            dil[m, i] = dagger(halmos_dilate(diag[m, i]))
+    dil = np.ascontiguousarray(np.conj(np.swapaxes(halmos_dilate(diag), -1, -2)))
     cert = GramCertificate.build(UnitaryTupleEnsemble(phi.weights.copy(), dil), target)
     return CorrectionReport(
         c=target,
@@ -486,7 +499,7 @@ def _gn_polish(p, atoms, target, d: int, tol: float, iters: int = 60):
 
     p = p.copy()
     atoms = atoms.copy()
-    grams = np.einsum("miab,mjab->mij", np.conj(atoms), atoms) / d
+    grams = _grams(atoms)
     achieved = np.einsum("m,mij->ij", p, grams)
     resid = achieved - target
     f = float(np.vdot(resid, resid).real)
@@ -531,7 +544,7 @@ def _gn_polish(p, atoms, target, d: int, tol: float, iters: int = 60):
                     for i in range(k):
                         h = np.tensordot(th[m, i].real, basis, axes=(0, 0))
                         new_atoms[m, i] = _unitary_exp(h, atoms[m, i])
-                new_grams = np.einsum("miab,mjab->mij", np.conj(new_atoms), new_atoms) / d
+                new_grams = _grams(new_atoms)
                 new_ach = np.einsum("m,mij->ij", q, new_grams)
                 new_resid = new_ach - target
                 new_f = float(np.vdot(new_resid, new_resid).real)
@@ -600,12 +613,9 @@ def _polish_escape(f, p, atoms, grams, target, d: int, tol: float):
 
 
 def _solve_single(target, d: int, m_cnt: int, max_iters: int, tol: float, rng):
-    k = target.shape[0]
-    atoms = np.stack(
-        [[random_haar_unitary(d, rng) for _ in range(k)] for _ in range(m_cnt)]
-    )
+    atoms = _haar_tuples(m_cnt, target.shape[0], d, rng)
     p = np.full(m_cnt, 1.0 / m_cnt)
-    grams = np.einsum("miab,mjab->mij", np.conj(atoms), atoms) / d
+    grams = _grams(atoms)
     resid = np.einsum("m,mij->ij", p, grams) - target
     f = float(np.vdot(resid, resid).real)
     next_escape = 40
@@ -623,7 +633,7 @@ def _solve_single(target, d: int, m_cnt: int, max_iters: int, tol: float, rng):
             f, p, atoms = _polish_escape(f, p, atoms, grams, target, d, tol)
             if f <= tol * tol or stalled:
                 return f, p, atoms
-            grams = np.einsum("miab,mjab->mij", np.conj(atoms), atoms) / d
+            grams = _grams(atoms)
             next_escape = 2 * it
     return f, p, atoms
 
@@ -640,13 +650,11 @@ def membership_solve(
     """Search for a tuple ensemble whose Gram average matches c.
 
     Alternates projected-gradient weight updates with per-atom polar
-    updates, from `restarts` independent seeded starts. The first restart
-    (by index) whose Frobenius residual reaches tol wins; if none does,
-    the best misfit wins with ties broken by the lowest index. Either way
-    the result does not depend on scheduling: the MUFACT_THREADS
-    environment variable only caps how many restarts run concurrently,
-    while the serial path merely skips restarts the selection rule could
-    never pick.
+    updates, from `restarts` independent seeded starts. Restarts run in
+    index order and the search stops at the first one whose Frobenius
+    residual reaches tol; if none does, the best misfit wins with ties
+    broken by the lowest index. Restart r draws from its own stream
+    rng_from_seed(seed, (r,)), so its run does not depend on the others.
     """
     target = as_matrix(c)
     k = target.shape[0]
@@ -655,33 +663,17 @@ def membership_solve(
     m_cnt = atoms if atoms is not None else k * k + 1
     if m_cnt < 1:
         raise MufactError("at least one atom is required")
-    goal = tol * tol
-
-    def run(r: int):
-        return _solve_single(
-            target, d, m_cnt, max_iters, tol, rng_from_seed(seed, (r,))
-        )
-
-    try:
-        workers = int(os.environ.get("MUFACT_THREADS", "1"))
-    except ValueError:
-        workers = 1
-    if workers > 1 and restarts > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(restarts)))
-    else:
-        results = []
-        for r in range(restarts):
-            results.append(run(r))
-            if results[-1][0] <= goal:
-                break
-
-    hits = [r for r, res in enumerate(results) if res[0] <= goal]
-    if hits:
-        best = hits[0]
-    else:
-        best = min(range(len(results)), key=lambda r: (results[r][0], r))
-    _, p, us = results[best]
+    if restarts < 1:
+        raise MufactError("at least one restart is required")
+    best = None
+    for r in range(restarts):
+        res = _solve_single(target, d, m_cnt, max_iters, tol, rng_from_seed(seed, (r,)))
+        # strict: an earlier restart keeps a tie; a hit beats every earlier miss
+        if best is None or res[0] < best[0]:
+            best = res
+        if res[0] <= tol * tol:
+            break
+    _, p, us = best
     keep = p > 0.0
     ensemble = UnitaryTupleEnsemble(p[keep], us[keep])
     return GramCertificate.build(ensemble, target)

@@ -73,8 +73,13 @@ def herm_eig(a) -> EigenSystem:
 
 
 def svd(x) -> tuple[ComplexMatrix, np.ndarray, ComplexMatrix]:
-    """Singular value decomposition X = P @ diag(s) @ Qh, s descending."""
-    m = as_matrix(x)
+    """Singular value decomposition X = P @ diag(s) @ Qh, s descending.
+
+    Accepts a matrix or a (..., m, n) stack, decomposed matrix by matrix.
+    """
+    m = np.asarray(x, dtype=complex)
+    if m.ndim < 2:
+        raise ShapeMismatch(f"expected a matrix or a stack of them, got shape {m.shape}")
     try:
         p, s, qh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -112,16 +117,19 @@ def sqrt_psd(a) -> ComplexMatrix:
     return (v * np.sqrt(vals)) @ dagger(v)
 
 
-def kron(a, b) -> ComplexMatrix:
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def op_norm(x) -> float:
     """Largest singular value."""
     m = as_matrix(x)
     if m.size == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def unitarity_defects(u) -> np.ndarray:
+    """||U* U - I||_F for every matrix U of a (..., n, n) stack."""
+    u = np.asarray(u)
+    gram = np.conj(np.swapaxes(u, -1, -2)) @ u
+    return np.linalg.norm(gram - np.eye(u.shape[-1]), axis=(-2, -1))
 
 
 def rng_from_seed(seed: Seed, key: tuple[int, ...] = ()) -> np.random.Generator:

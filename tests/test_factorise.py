@@ -167,6 +167,26 @@ def test_dilation_rescales_marginal_norms_and_rejects_large_ones():
         halmos_dilate(np.array([[1.5]]))
 
 
+def test_stacked_dilation_equals_dilating_each_block_alone():
+    rng = rng_from_seed(47)
+    z = rng.standard_normal((3, 4, 2, 2)) + 1j * rng.standard_normal((3, 4, 2, 2))
+    x = z / np.linalg.norm(z, 2, axis=(-2, -1))[..., None, None]
+    x[0, 1] *= 0.5
+    x[1, 2] *= 1.0 + 5e-10  # rescaled, like the 2-d case above
+    w = halmos_dilate(x)
+    assert w.shape == (3, 4, 4, 4)
+    for idx in np.ndindex(3, 4):
+        assert np.array_equal(w[idx], halmos_dilate(x[idx]))
+
+
+def test_stacked_dilation_names_the_first_block_above_norm_one():
+    x = np.zeros((2, 3, 2, 2), dtype=complex)
+    x[1, 0] = np.diag([1.5, 0.0])
+    x[1, 2] = np.diag([2.0, 0.0])
+    with pytest.raises(NormTooLarge, match=r"block \(1, 0\) operator norm 1\.5 "):
+        halmos_dilate(x)
+
+
 # ---------------------------------------------------------------------------
 # correction pipeline
 
@@ -215,13 +235,32 @@ def test_membership_is_deterministic():
     assert np.array_equal(a.ensemble.tuples, b.ensemble.tuples)
 
 
-def test_membership_parallel_matches_serial(monkeypatch):
-    planted = random_tuple_ensemble(3, 1, 2, rng_from_seed(45)).gram_average()
-    serial = membership_solve(planted, 1, restarts=4, max_iters=80, tol=1e-8, seed=2)
-    monkeypatch.setenv("MUFACT_THREADS", "3")
-    parallel = membership_solve(planted, 1, restarts=4, max_iters=80, tol=1e-8, seed=2)
-    assert np.array_equal(serial.ensemble.weights, parallel.ensemble.weights)
-    assert np.array_equal(serial.ensemble.tuples, parallel.ensemble.tuples)
+@pytest.mark.parametrize(
+    "target, atoms, hit",
+    [
+        # restart 0 misses and restart 1 reaches tol
+        (random_tuple_ensemble(4, 1, 3, rng_from_seed(45)).gram_average(), 5, 1),
+        # no restart can reach the 2x2 identity with one atom at d = 1
+        (np.eye(2), 1, None),
+    ],
+    ids=["hit-at-restart-1", "no-hit"],
+)
+def test_membership_applies_the_selection_rule_to_independent_restarts(target, atoms, hit):
+    from mufact.factorise import _solve_single
+
+    restarts, iters, tol, seed = 4, 40, 1e-8, 2
+    runs = [
+        _solve_single(target, 1, atoms, iters, tol, rng_from_seed(seed, (r,)))
+        for r in range(restarts)
+    ]
+    hits = [r for r, run in enumerate(runs) if run[0] <= tol * tol]
+    assert (hits[0] if hits else None) == hit
+    best = hits[0] if hits else min(range(restarts), key=lambda r: (runs[r][0], r))
+    _, p, us = runs[best]
+    cert = membership_solve(target, 1, atoms=atoms, restarts=restarts,
+                            max_iters=iters, tol=tol, seed=seed)
+    assert np.array_equal(cert.ensemble.weights, p[p > 0.0])
+    assert np.array_equal(cert.ensemble.tuples, us[p > 0.0])
 
 
 def test_solver_moves_never_increase_the_misfit():
