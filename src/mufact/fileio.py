@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -60,7 +61,12 @@ def matrix_to_json(m) -> dict:
 
 def _is_number(x) -> bool:
     """A finite JSON number; JSON booleans load as bool, a subclass of int."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _count(obj: dict, key: str) -> int:
@@ -81,15 +87,31 @@ def matrix_from_json(obj) -> np.ndarray:
         raise FileFormatError(
             f"matrix advertises {rows}x{cols} but carries {len(entries)} entries"
         )
-    out = np.empty(rows * cols, dtype=complex)
+    # one C-level pass each over types and lengths; the entry-by-entry
+    # search runs only when these or the finiteness check fail, to name the
+    # first bad entry
+    if not (
+        set(map(type, entries)) <= {list}
+        and set(map(len, entries)) <= {2}
+        and set(map(type, chain.from_iterable(entries))) <= {int, float}
+    ):
+        _check_pairs(entries)
+    try:
+        flat = np.fromiter(chain.from_iterable(entries), float, 2 * len(entries))
+    except OverflowError:  # an integer beyond the float range
+        flat = None
+    if flat is None or not np.isfinite(flat).all():
+        _check_pairs(entries)  # raises
+    return flat.view(complex).reshape(rows, cols)
+
+
+def _check_pairs(entries) -> None:
+    """Raise on the first entry that is not an [re, im] pair of finite numbers."""
     for n, pair in enumerate(entries):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise FileFormatError(f"entry {n} is not an [re, im] pair")
-        re, im = pair
-        if not (_is_number(re) and _is_number(im)):
+        if not (_is_number(pair[0]) and _is_number(pair[1])):
             raise FileFormatError(f"entry {n} is not a finite number")
-        out[n] = complex(re, im)
-    return out.reshape(rows, cols)
 
 
 def save_matrix(path: str, m) -> None:

@@ -214,10 +214,10 @@ def test_norms_cli_on_a_correlation_symbol(tmp_path):
     assert rc == 0
     printed = json.loads(out)
     assert printed == fileio.load_json(rep)["results"]
-    assert printed["cb_method"] == "dykstra-bisection"
+    assert printed["cb_method"] == "haagerup-certificate"
     assert printed["psd_norm"] == pytest.approx(1.0, abs=1e-9)
-    assert printed["cb_lower"] >= 1.0 - 1e-9
-    assert printed["cb_upper"] <= 1.0 + 1e-2
+    assert printed["cb_lower"] == pytest.approx(1.0, abs=1e-9)
+    assert printed["cb_upper"] - printed["cb_lower"] <= 1e-4 * printed["cb_upper"]
     assert printed["superop_lb"] == pytest.approx(1.0, abs=1e-6)
 
 

@@ -181,3 +181,24 @@ def test_report_json_structure(tmp_path):
     assert rep["seed"] == 7
     assert rep["results"] == {"v": 0.25}
     assert rep["inputs"]["C"]["sha256"] == fileio.sha256_of(path)
+
+
+def test_matrix_from_json_matches_per_entry_conversion_bit_for_bit():
+    entries = [[-0.0, 0.0], [3, -2], [5e-324, -0.0], [np.float64(0.1), 2 ** 60], [1e308, -7]]
+    got = fileio.matrix_from_json({"rows": 1, "cols": 5, "entries": entries})
+    want = np.array([complex(re, im) for re, im in entries]).reshape(1, 5)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_matrix_from_json_names_the_first_bad_entry():
+    good = [[1.0, 0.0]] * 4
+    for n, bad, reason in (
+        (2, [10 ** 400, 0], "finite"),
+        (1, [math.nan, 0.0], "finite"),
+        (3, (1.0, 0.0), "pair"),
+        (0, "ab", "pair"),
+    ):
+        entries = list(good)
+        entries[n] = bad
+        with pytest.raises(FileFormatError, match=f"entry {n} .*{reason}"):
+            fileio.matrix_from_json({"rows": 2, "cols": 2, "entries": entries})

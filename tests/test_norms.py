@@ -18,10 +18,28 @@ from mufact import (
 from mufact.norms import split_bound
 
 
+def _residual(seed):
+    """Indefinite residual C - achieved of the d = 1 solver on a 4x4 target."""
+    c = random_correlation(4, rng_from_seed(seed))
+    return c - membership_solve(c, 1, atoms=5, restarts=2, max_iters=40, tol=1e-6, seed=0).achieved
+
+
+def _caps(a):
+    """Closed-form upper ends, plus the few ulps by which rounding can leave
+    one below max|a_ij|, where `schur_cb_norm` lifts it."""
+    rows = float(np.linalg.norm(a, axis=1).max())
+    cols = float(np.linalg.norm(a, axis=0).max())
+    return min(rows, cols, split_bound(a)) * (1.0 + 1e-15)
+
+
 def test_bracket_invariant():
     NormEstimate(1.0, 1.0, "x")
     with pytest.raises(MufactError):
         NormEstimate(1.0, 0.5, "x")
+    # the check is relative: a tenfold inversion at 1e-10 is still inverted
+    NormEstimate(1e-10 * (1.0 + 1e-12), 1e-10, "x")
+    with pytest.raises(MufactError):
+        NormEstimate(1e-9, 1e-10, "x")
 
 
 def test_cb_norm_zero_symbol():
@@ -35,11 +53,11 @@ def test_cb_norm_rejects_non_square():
 
 
 def test_cb_norm_of_identity_symbol():
-    # S_I keeps the diagonal: cb norm 1
+    # S_I keeps the diagonal: cb norm 1, closed by the caps of a PSD symbol
     est = schur_cb_norm(np.eye(4))
-    assert est.lower >= 1.0 - 1e-9
-    assert est.upper <= 1.0 + 1e-3
-    assert est.method == "dykstra-bisection"
+    assert est.lower == est.upper == 1.0
+    assert est.method == "haagerup-certificate"
+    assert est.iterations == 0
 
 
 def test_cb_norm_of_all_ones_symbol():
@@ -50,9 +68,10 @@ def test_cb_norm_of_all_ones_symbol():
 
 
 def test_cb_norm_of_offdiagonal_symbol_is_exact():
-    # row and column bounds pinch the bracket shut without any probing
+    # row and column bounds pinch the bracket shut without a certificate step
     est = schur_cb_norm(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert est.lower == est.upper == 1.0
+    assert est.iterations == 0
 
 
 def test_cb_norm_of_sign_rank_one():
@@ -63,10 +82,11 @@ def test_cb_norm_of_sign_rank_one():
 
 
 def test_cb_norm_is_deterministic():
-    a = random_correlation(4, rng_from_seed(12))
+    # an indefinite symbol, so the certificate steps run
+    a = _residual(12)
     e1 = schur_cb_norm(a)
-    e2 = schur_cb_norm(a)
-    assert (e1.lower, e1.upper) == (e2.lower, e2.upper)
+    assert e1.iterations > 0
+    assert schur_cb_norm(a) == e1
 
 
 def test_cb_bracket_contains_max_diagonal_for_psd():
@@ -81,7 +101,7 @@ def test_cb_bracket_contains_max_diagonal_for_psd():
 
 def test_cb_bracket_of_a_psd_gram_symbol_closes_on_its_norm():
     # for a PSD symbol max|a_ij| = max a_ii is the norm, so the bracket
-    # closes on it with no Dykstra step; the diagonal here is not constant
+    # closes on it with no certificate step; the diagonal here is not constant
     g = np.random.default_rng(1).standard_normal((4, 4))
     a = g.T @ g
     est = schur_cb_norm(a)
@@ -105,26 +125,89 @@ def test_cb_lower_never_exceeds_max_diagonal_on_psd_symbols():
             assert est.upper - est.lower <= 1e-4 * est.upper
 
 
-def test_failed_probes_spend_budget_but_never_raise_the_lower_end():
+def test_certificate_steps_close_an_indefinite_bracket_inside_the_caps():
     rng = rng_from_seed(17)
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = 0.5 * (z + z.conj().T)
     est = schur_cb_norm(h)
-    bare = schur_cb_norm(h, budget=0)
-    assert bare.lower == est.lower
-    assert est.iterations > 0 and bare.iterations == 0
-    assert est.upper <= bare.upper
+    assert est.iterations > 0
+    assert np.abs(h).max() <= est.lower <= est.upper < _caps(h)
+    assert est.upper - est.lower <= 1e-4 * est.upper
+    assert superop_norm_lb(lambda x: schur_apply(h, x), dim=4) <= est.upper
+
+
+def test_cb_bracket_closes_on_every_hermitian_symbol_of_acceptance_10():
+    # the seeds and draws of acceptance criterion 10's Hermitian symbols
+    for s in range(100, 150):
+        rng = rng_from_seed(s)
+        k = int(rng.integers(2, 7))
+        z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        h = 0.5 * (z + z.conj().T)
+        est = schur_cb_norm(h)
+        assert np.abs(h).max() <= est.lower <= est.upper <= _caps(h)
+        assert est.upper - est.lower <= 1e-4 * est.upper, s
+
+
+def test_cb_bracket_closes_on_a_residual_of_order_1e_10():
+    a = _residual(0)
+    assert 1e-11 < np.abs(a).max() < 1e-9
+    est = schur_cb_norm(a)
+    assert np.abs(a).max() <= est.lower <= est.upper
+    assert est.upper - est.lower <= 1e-4 * est.upper
+
+
+def _degenerate_and_random_symbols():
+    rng = rng_from_seed(19)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    zero_row_col = cplx(5, 5)
+    zero_row_col[2, :] = 0.0
+    zero_row_col[:, 2] = 0.0
+    u, v = cplx(4), cplx(4)
+    cases = {
+        "k1": np.array([[-0.7 + 0.2j]]),
+        "k1-psd": np.array([[2.5]]),
+        "zero-row-and-column": zero_row_col,
+        "rank-one": np.outer(u, v),
+        "rank-one-psd": np.outer(v, v.conj()),
+    }
+    for k in range(2, 9):
+        cases[f"random-k{k}"] = cplx(k, k)
+    return cases
+
+
+SYMBOLS = _degenerate_and_random_symbols()
+
+
+@pytest.mark.parametrize("name", sorted(SYMBOLS))
+def test_cb_bracket_is_sound_on_degenerate_and_random_symbols(name):
+    a = SYMBOLS[name]
+    est = schur_cb_norm(a)
+    scale = float(np.abs(a).max())
+    assert scale <= est.lower <= est.upper <= _caps(a)
+    assert est.upper - est.lower <= 1e-4 * est.upper
+    lb = superop_norm_lb(lambda x: schur_apply(a, x), dim=a.shape[0])
+    assert lb <= est.upper + 1e-9 * (1.0 + scale)
+    if name.endswith("psd"):
+        md = float(np.real(np.diagonal(a)).max())
+        assert est.lower == pytest.approx(md, rel=1e-12)
+        assert est.iterations == 0
 
 
 def test_cb_lower_stays_below_a_tighter_certified_upper_on_a_residual():
-    # an indefinite residual of the d = 1 solver: the lower end must not
-    # pass the certified upper end of a longer, tighter run
-    c = random_correlation(4, rng_from_seed(40))
-    a = c - membership_solve(c, 1, atoms=5, restarts=2, max_iters=40, tol=1e-6, seed=0).achieved
+    # an indefinite residual of the d = 1 solver; the bounds are the lower
+    # end and the best upper end that a 60,000-step Dykstra bisection
+    # certified on it
+    a = _residual(40)
     est = schur_cb_norm(a)
-    tight = schur_cb_norm(a, rel_gap=1e-5, budget=30000)
-    assert np.abs(a).max() <= est.lower <= est.upper
-    assert est.lower <= tight.upper
+    tight = schur_cb_norm(a, rel_gap=1e-6)
+    assert np.abs(a).max() <= est.lower <= est.upper <= 0.016512014469712545
+    assert est.lower == pytest.approx(0.01650815965123521, rel=1e-12)
+    assert est.upper - est.lower <= 1e-4 * est.upper
+    assert tight.lower <= tight.upper <= est.upper
+    assert tight.upper - tight.lower <= 1e-6 * tight.upper
 
 
 def test_split_bound_is_max_diagonal_on_psd_and_caps_any_symbol():
@@ -133,7 +216,7 @@ def test_split_bound_is_max_diagonal_on_psd_and_caps_any_symbol():
     psd = g.conj().T @ g
     assert split_bound(psd) == pytest.approx(np.real(np.diagonal(psd)).max(), rel=1e-12)
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    est = schur_cb_norm(z, budget=0)
+    est = schur_cb_norm(z)
     assert est.lower <= split_bound(z)
     assert est.upper <= split_bound(z)
 
