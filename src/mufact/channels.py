@@ -127,10 +127,6 @@ class ChoiMatrix:
                 f"{self.k ** 2}x{self.k ** 2}, got {self.matrix.shape}"
             )
 
-    def block(self, i: int, j: int) -> ComplexMatrix:
-        k = self.k
-        return self.matrix[i * k:(i + 1) * k, j * k:(j + 1) * k]
-
     def apply(self, x) -> ComplexMatrix:
         m = as_matrix(x)
         if m.shape != (self.k, self.k):
@@ -367,11 +363,9 @@ def verify_channel(t, dim: int | None = None) -> ChannelReport:
     choi = choi_of(t, dim)
     k = choi.k
     cp_res = choi.cp_residual()
-    tp_mat = np.array(
-        [[np.trace(choi.block(i, j)) for j in range(k)] for i in range(k)]
-    )
-    tp_res = frob(tp_mat - np.eye(k))
-    unital_res = frob(sum(choi.block(i, i) for i in range(k)) - np.eye(k))
+    blocks = to_blocks(choi.matrix, k, k)
+    tp_res = frob(np.trace(blocks, axis1=2, axis2=3) - np.eye(k))
+    unital_res = frob(np.trace(blocks, axis1=0, axis2=1) - np.eye(k))
     scale = 1.0 + frob(choi.matrix)
     return ChannelReport(
         dim=k,

@@ -13,16 +13,10 @@ import sys
 import time
 
 from .errors import (
-    DimensionTooLarge,
     FileFormatError,
     MufactError,
-    NoConvergence,
-    NormTooLarge,
     NotAFactorisation,
     NotBlockDiagonal,
-    NotCP,
-    NotHermitian,
-    NotPSD,
     NotUnitary,
     ShapeMismatch,
 )
@@ -353,19 +347,12 @@ def main(argv=None) -> int:
     args._argv = argv
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ShapeMismatch as exc:
+    except (FileFormatError, ShapeMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotAFactorisation, NotBlockDiagonal, NotUnitary) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 4
-    except (NotPSD, NotCP, NormTooLarge, DimensionTooLarge, NotHermitian,
-            NoConvergence) as exc:
-        print(f"numeric domain error: {exc}", file=sys.stderr)
-        return 5
     except MufactError as exc:
         print(f"numeric domain error: {exc}", file=sys.stderr)
         return 5

@@ -24,7 +24,6 @@ from .errors import (
 )
 from .linalg import (
     as_matrix,
-    dagger,
     frob,
     polar,
     random_haar_unitary,
@@ -39,7 +38,6 @@ from .channels import (
     d_biaverage,
     delta_compress,
     lift_schur,
-    to_blocks,
     weyl_unitaries,
 )
 from .norms import NormEstimate, schur_cb_norm, split_bound
@@ -132,6 +130,11 @@ def gram_matrix(t) -> np.ndarray:
     if u.ndim != 3 or u.shape[1] != u.shape[2]:
         raise ShapeMismatch(f"expected a (k, d, d) stack, got {u.shape}")
     return _grams(u)
+
+
+def _member_blocks(unitaries: np.ndarray, d: int, k: int) -> np.ndarray:
+    """(M, k, k, d, d) block view of a (M, dk, dk) stack, as to_blocks per member."""
+    return unitaries.reshape(len(unitaries), k, d, k, d).transpose(0, 1, 3, 2, 4)
 
 
 def _haar_tuples(m: int, k: int, d: int, rng) -> np.ndarray:
@@ -251,7 +254,7 @@ def tuples_from_ensemble(
         raise NotAFactorisation(
             f"ensemble action deviates from the lifted channel by {worst:.3e}"
         )
-    blocks = np.stack([to_blocks(u, d, k) for u in ensemble.unitaries])
+    blocks = _member_blocks(ensemble.unitaries, d, k)
     off = blocks.copy()
     off[:, range(k), range(k)] = 0.0
     worst_off = np.abs(off).max(initial=0.0)
@@ -344,7 +347,7 @@ def correction_pipeline(
             f"ensemble dimension {phi.dim} does not match d={d} and k={k}"
         )
     phi.check()
-    blocks = np.stack([to_blocks(u, d, k) for u in phi.unitaries])
+    blocks = _member_blocks(phi.unitaries, d, k)
     diag = blocks[:, range(k), range(k)]  # (M, k, d, d)
 
     c_tilde = np.einsum("m,mij->ij", phi.weights, _grams(np.conj(diag)))
@@ -467,20 +470,6 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return _HERM_BASIS[d]
 
 
-def _unitary_exp(h, u):
-    """exp(iH) U for Hermitian H."""
-    if h.shape[0] == 1:
-        return np.exp(1j * h[0, 0].real) * u
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * vals)) @ dagger(vecs) @ u
-
-
-def _residual_vec(resid, k):
-    iu, ju = np.triu_indices(k, 1)
-    r = resid[iu, ju]
-    return np.concatenate([r.real, r.imag])
-
-
 def _gn_polish(p, atoms, target, d: int, tol: float, iters: int = 60):
     """Damped Gauss-Newton refinement around an alternating-descent iterate.
 
@@ -494,11 +483,9 @@ def _gn_polish(p, atoms, target, d: int, tol: float, iters: int = 60):
     m_cnt, k = atoms.shape[0], atoms.shape[1]
     nb = d * d
     basis = _hermitian_basis(d)
-    pairs = k * (k - 1) // 2
     iu, ju = np.triu_indices(k, 1)
+    rows = np.arange(len(iu))
 
-    p = p.copy()
-    atoms = atoms.copy()
     grams = _grams(atoms)
     achieved = np.einsum("m,mij->ij", p, grams)
     resid = achieved - target
@@ -507,25 +494,22 @@ def _gn_polish(p, atoms, target, d: int, tol: float, iters: int = 60):
     for _ in range(iters):
         if f <= 0.01 * tol * tol:
             break
-        rvec = _residual_vec(resid, k)
-        # layout: weight columns for all atoms first, then rotation
-        # columns blocked (m, i, basis element) to match the step unpack
-        cols = np.zeros((pairs, m_cnt * (1 + k * nb)), dtype=complex)
-        for m in range(m_cnt):
-            cols[:, m] = (grams[m] - achieved)[iu, ju]
-            if p[m] <= 0.0:
-                continue
-            # d gram_ij / d theta_a at entry i: -i p_m tr(U_i* B_a U_j)/d
-            tr = np.einsum("iba,xbc,jca->ixj", np.conj(atoms[m]), basis, atoms[m])
-            dg = -1j * p[m] * tr / d
-            for i in range(k):
-                block = np.zeros((pairs, nb), dtype=complex)
-                lo = iu == i
-                hi = ju == i
-                block[lo, :] = dg[i, :, ju[lo]]
-                block[hi, :] = np.conj(dg[i, :, iu[hi]])
-                col = m_cnt + (m * k + i) * nb
-                cols[:, col : col + nb] = block
+        r = resid[iu, ju]
+        rvec = np.concatenate([r.real, r.imag])
+        live = p > 0.0
+        # d gram_ij / d theta_x at entry i of atom m: -i p_m tr(U_i* B_x U_j)/d;
+        # row (i, j) depends on entry i through dg[m, i, :, j] and on entry j
+        # through conj(dg[m, j, :, i])
+        tr = np.einsum("miba,xbc,mjca->mixj", np.conj(atoms), basis, atoms)
+        dg = -1j * p[:, None, None, None] * tr / d
+        dg[~live] = 0.0
+        rot = np.zeros((len(rows), m_cnt, k, nb), dtype=complex)
+        rot[rows, :, iu] = dg[:, iu, :, ju]
+        rot[rows, :, ju] = np.conj(dg[:, ju, :, iu])
+        # weight columns for all atoms first, then rotation columns (m, i, x)
+        cols = np.concatenate(
+            [(grams - achieved)[:, iu, ju].T, rot.reshape(len(rows), m_cnt * k * nb)], axis=1
+        )
         jac = np.concatenate([cols.real, cols.imag])
         accepted = False
         for _ in range(8):
@@ -536,14 +520,17 @@ def _gn_polish(p, atoms, target, d: int, tol: float, iters: int = 60):
             s = q.sum()
             if s > 0.0:
                 q = q / s
-                new_atoms = atoms.copy()
                 th = step[m_cnt:].reshape(m_cnt, k, nb)
-                for m in range(m_cnt):
-                    if p[m] <= 0.0:
-                        continue
-                    for i in range(k):
-                        h = np.tensordot(th[m, i].real, basis, axes=(0, 0))
-                        new_atoms[m, i] = _unitary_exp(h, atoms[m, i])
+                h = np.tensordot(th.real, basis, axes=(2, 0))
+                if d == 1:
+                    turned = np.exp(1j * h.real) * atoms
+                else:
+                    vals, vecs = np.linalg.eigh(h)
+                    expo = (vecs * np.exp(1j * vals)[..., None, :]) @ np.conj(
+                        np.swapaxes(vecs, -1, -2)
+                    )
+                    turned = expo @ atoms
+                new_atoms = np.where(live[:, None, None, None], turned, atoms)
                 new_grams = _grams(new_atoms)
                 new_ach = np.einsum("m,mij->ij", q, new_grams)
                 new_resid = new_ach - target

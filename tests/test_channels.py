@@ -158,6 +158,14 @@ def test_verify_channel_detects_non_cp():
     assert rep.cp_residual == pytest.approx(1.0, abs=1e-12)
 
 
+def test_verify_channel_residuals_of_a_doubling_map():
+    # X -> 2X: tr T(E_ij) = 2 delta_ij and T(I) = 2I, so both defects are I
+    rep = verify_channel(KrausChannel([np.sqrt(2.0) * np.eye(2)]))
+    assert rep.cp and not rep.tp and not rep.unital
+    assert rep.tp_residual == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert rep.unital_residual == pytest.approx(np.sqrt(2.0), abs=1e-12)
+
+
 def test_ensemble_check_rejects_bad_weights_and_members():
     u = weyl_unitaries(2)
     with pytest.raises(MufactError):

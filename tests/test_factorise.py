@@ -291,6 +291,100 @@ def test_solver_moves_never_increase_the_misfit():
     assert f3 <= f2 + 1e-12
 
 
+def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60):
+    """Reference Gauss-Newton polish, one (atom, tuple entry) pair at a time."""
+    from mufact.factorise import _grams, _hermitian_basis
+
+    m_cnt, k = atoms.shape[0], atoms.shape[1]
+    nb = d * d
+    basis = _hermitian_basis(d)
+    pairs = k * (k - 1) // 2
+    iu, ju = np.triu_indices(k, 1)
+    p, atoms = p.copy(), atoms.copy()
+    grams = _grams(atoms)
+    achieved = np.einsum("m,mij->ij", p, grams)
+    resid = achieved - target
+    f = float(np.vdot(resid, resid).real)
+    lam = 1e-4
+    for _ in range(iters):
+        if f <= 0.01 * tol * tol:
+            break
+        rvec = np.concatenate([resid[iu, ju].real, resid[iu, ju].imag])
+        cols = np.zeros((pairs, m_cnt * (1 + k * nb)), dtype=complex)
+        for m in range(m_cnt):
+            cols[:, m] = (grams[m] - achieved)[iu, ju]
+            if p[m] <= 0.0:
+                continue
+            tr = np.einsum("iba,xbc,jca->ixj", np.conj(atoms[m]), basis, atoms[m])
+            dg = -1j * p[m] * tr / d
+            for i in range(k):
+                block = np.zeros((pairs, nb), dtype=complex)
+                lo, hi = iu == i, ju == i
+                block[lo, :] = dg[i, :, ju[lo]]
+                block[hi, :] = np.conj(dg[i, :, iu[hi]])
+                col = m_cnt + (m * k + i) * nb
+                cols[:, col:col + nb] = block
+        jac = np.concatenate([cols.real, cols.imag])
+        accepted = False
+        for _ in range(8):
+            lhs = np.concatenate([jac, np.sqrt(lam) * np.eye(jac.shape[1])])
+            rhs = np.concatenate([-rvec, np.zeros(jac.shape[1])])
+            step = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+            q = np.clip(p + step[:m_cnt], 0.0, None)
+            s = q.sum()
+            if s > 0.0:
+                q = q / s
+                new_atoms = atoms.copy()
+                th = step[m_cnt:].reshape(m_cnt, k, nb)
+                for m in range(m_cnt):
+                    if p[m] <= 0.0:
+                        continue
+                    for i in range(k):
+                        h = np.tensordot(th[m, i].real, basis, axes=(0, 0))
+                        if d == 1:
+                            new_atoms[m, i] = np.exp(1j * h[0, 0].real) * atoms[m, i]
+                        else:
+                            vals, vecs = np.linalg.eigh(h)
+                            rot = (vecs * np.exp(1j * vals)) @ np.conj(vecs).T
+                            new_atoms[m, i] = rot @ atoms[m, i]
+                new_grams = _grams(new_atoms)
+                new_ach = np.einsum("m,mij->ij", q, new_grams)
+                new_resid = new_ach - target
+                new_f = float(np.vdot(new_resid, new_resid).real)
+                if new_f < f:
+                    p, atoms, grams = q, new_atoms, new_grams
+                    achieved, resid, f = new_ach, new_resid, new_f
+                    lam = max(lam / 3.0, 1e-12)
+                    accepted = True
+                    break
+            lam *= 10.0
+        if not accepted:
+            break
+    return f, p, atoms
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("iters", [1, 60])
+def test_stacked_polish_matches_the_per_entry_reference_bit_for_bit(d, iters):
+    from mufact.factorise import _gn_polish, _grams, _haar_tuples
+
+    rng = rng_from_seed(70 + d)
+    k, m_cnt = 3, 4
+    target = random_tuple_ensemble(k, d, 2, rng).gram_average()
+    atoms = _haar_tuples(m_cnt, k, d, rng)
+    p = np.array([0.4, 0.0, 0.35, 0.25])
+    f0 = float(np.linalg.norm(np.einsum("m,mij->ij", p, _grams(atoms)) - target) ** 2)
+
+    want = _gn_polish_per_entry(p, atoms, target, d, 1e-10, iters=iters)
+    got = _gn_polish(p.copy(), atoms.copy(), target, d, 1e-10, iters=iters)
+    assert want[0] < f0  # the polish moved, so the comparison is not vacuous
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
+    if iters == 1:
+        assert got[2][1].tobytes() == atoms[1].tobytes()
+
+
 def test_membership_reports_honest_residual_when_budget_is_too_small():
     # one atom at d = 1 cannot reach the 2x2 identity: the off-diagonal
     # Gram entry always has modulus 1
