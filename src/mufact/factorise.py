@@ -373,37 +373,59 @@ def correction_pipeline(
 # membership search
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    rho = np.nonzero(u - css / idx > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.clip(v - theta, 0.0, None)
+def _weight_update(p, grams, target):
+    """Exact minimisation of the Gram-average misfit over the weight simplex.
 
-
-def _weight_update(p, grams, target, sweeps: int = 50, tol: float = 1e-10):
-    """Projected-gradient minimisation of the Gram-average misfit over weights."""
-    a = np.real(np.einsum("mij,nij->mn", np.conj(grams), grams))
-    b = np.real(np.einsum("mij,ij->m", np.conj(grams), target))
-    const = float(np.vdot(target, target).real)
-    lip = 2.0 * max(float(np.linalg.eigvalsh(a)[-1]), 1e-30)
-
-    def misfit(q):
-        return float(q @ a @ q - 2.0 * b @ q + const)
-
-    f = misfit(p)
-    for _ in range(sweeps):
-        q = _project_simplex(p - (2.0 * (a @ p - b)) / lip)
-        fq = misfit(q)
-        if fq < f:
-            p, gain, f = q, f - fq, fq
-        else:
-            gain = 0.0
-        if gain < 0.1 * tol * tol:
+    The misfit of weights w is w Q w with Q_mn = Re<G_m - T, G_n - T>, the
+    squared distance from the origin to a point of the polytope spanned by
+    the G_m - T. Wolfe's nearest-point algorithm finds the minimum: a major
+    step adds the atom with the smallest (Q w)_m, and minor steps solve the
+    affine KKT system on the support, stepping back to the boundary and
+    dropping an atom whenever the affine minimiser leaves the simplex. The
+    small solves use lstsq, since Q is singular once atoms outnumber the
+    dimension of the Gram matrices. It stops when the Frank-Wolfe gap is
+    at most 1e-15 max Q_mm or a step no longer lowers the misfit; p comes
+    back unchanged unless the new misfit is strictly lower.
+    """
+    diff = grams - target
+    q = np.real(np.einsum("mij,nij->mn", np.conj(diff), diff))
+    diag = np.diagonal(q)
+    gap_tol = 1e-15 * float(diag.max())
+    w = np.zeros(len(p))
+    w[np.argmin(diag)] = 1.0
+    f = float(diag.min())
+    while True:
+        g = q @ w
+        j = int(np.argmin(g))
+        if f - g[j] <= gap_tol or w[j] > 0.0:
             break
-    return p, f
+        support = np.append(np.flatnonzero(w), j)
+        cur = w[support]
+        while True:
+            n = len(support)
+            kkt = np.ones((n + 1, n + 1))
+            kkt[:n, :n] = q[np.ix_(support, support)]
+            kkt[n, n] = 0.0
+            rhs = np.zeros(n + 1)
+            rhs[n] = 1.0
+            alpha = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:n]
+            if (alpha >= 0.0).all():
+                break
+            # move towards alpha until the first weight reaches zero, drop it
+            out = np.flatnonzero(alpha < 0.0)
+            ratios = cur[out] / (cur[out] - alpha[out])
+            cur = cur + ratios.min() * (alpha - cur)
+            cur[out[np.argmin(ratios)]] = 0.0
+            support, cur = support[cur > 0.0], cur[cur > 0.0]
+        w_try = np.zeros(len(w))
+        w_try[support] = alpha
+        f_try = float(w_try @ q @ w_try)
+        if not f_try < f:
+            break
+        w, f = w_try, f_try
+    w = w / w.sum()
+    f, f_in = float(w @ q @ w), float(p @ q @ p)
+    return (w, f) if f < f_in else (p, f_in)
 
 
 def _atom_sweep(p, atoms, grams, resid):
@@ -511,11 +533,13 @@ def _gn_polish(p, atoms, target, d: int, tol: float, iters: int = 60):
             [(grams - achieved)[:, iu, ju].T, rot.reshape(len(rows), m_cnt * k * nb)], axis=1
         )
         jac = np.concatenate([cols.real, cols.imag])
+        # one thin SVD J = U S V^T serves every damping try: the minimiser
+        # of |J s + r|^2 + lam |s|^2 is s = -V diag(S / (S^2 + lam)) U^T r
+        u, sv, vt = np.linalg.svd(jac, full_matrices=False)
+        ur = u.T @ rvec
         accepted = False
         for _ in range(8):
-            lhs = np.concatenate([jac, np.sqrt(lam) * np.eye(jac.shape[1])])
-            rhs = np.concatenate([-rvec, np.zeros(jac.shape[1])])
-            step = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+            step = -vt.T @ (sv / (sv * sv + lam) * ur)
             q = np.clip(p + step[:m_cnt], 0.0, None)
             s = q.sum()
             if s > 0.0:
@@ -608,7 +632,7 @@ def _solve_single(target, d: int, m_cnt: int, max_iters: int, tol: float, rng):
     next_escape = 40
     for it in range(1, max_iters + 1):
         f_prev = f
-        p, _ = _weight_update(p, grams, target, tol=tol)
+        p, _ = _weight_update(p, grams, target)
         resid = np.einsum("m,mij->ij", p, grams) - target
         atoms, grams, resid = _atom_sweep(p, atoms, grams, resid)
         resid = np.einsum("m,mij->ij", p, grams) - target  # guard against drift
@@ -636,12 +660,13 @@ def membership_solve(
 ) -> GramCertificate:
     """Search for a tuple ensemble whose Gram average matches c.
 
-    Alternates projected-gradient weight updates with per-atom polar
-    updates, from `restarts` independent seeded starts. Restarts run in
-    index order and the search stops at the first one whose Frobenius
-    residual reaches tol; if none does, the best misfit wins with ties
-    broken by the lowest index. Restart r draws from its own stream
-    rng_from_seed(seed, (r,)), so its run does not depend on the others.
+    Alternates exact weight steps on the simplex (Wolfe's nearest-point
+    algorithm) with per-atom polar updates, from `restarts` independent
+    seeded starts. Restarts run in index order and the search stops at the
+    first one whose Frobenius residual reaches tol; if none does, the best
+    misfit wins with ties broken by the lowest index. Restart r draws from
+    its own stream rng_from_seed(seed, (r,)), so its run does not depend on
+    the others.
     """
     target = as_matrix(c)
     k = target.shape[0]
