@@ -25,11 +25,16 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import ComplexMatrix, as_matrix, dagger, frob, herm_eig, unitarity_defects
+from .linalg import below_psd_floor
 
+# |sum of weights - 1|, ||U* U - I||_F and |c_ii - 1| allowed by the checks
 WEIGHT_TOL = 1e-12
 UNITARY_TOL = 1e-10
+DIAG_TOL = 1e-10
 CHANNEL_TOL = 1e-9
 KRAUS_CUTOFF = 1e-10
+# largest k for which biaverage_pm_oracle enumerates its 4^k sign pairs
+SIGN_ORACLE_MAX_K = 8
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +74,10 @@ def embed(b, d: int) -> ComplexMatrix:
 # channel representations
 
 
-def check_weights(weights: np.ndarray, tol: float) -> None:
-    """Raise unless the weights sum to 1 within tol and are all strictly positive."""
+def check_weights(weights: np.ndarray) -> None:
+    """Raise unless the weights sum to 1 within WEIGHT_TOL and are all strictly positive."""
     total = float(np.sum(weights))
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > WEIGHT_TOL:
         raise MufactError(f"weights sum to {total!r}, expected 1")
     if weights.min(initial=1.0) <= 0.0:
         raise MufactError("weights must be strictly positive")
@@ -164,10 +169,10 @@ class MixedUnitaryEnsemble:
     def dim(self) -> int:
         return self.unitaries.shape[1]
 
-    def check(self, weight_tol: float = WEIGHT_TOL, unitary_tol: float = UNITARY_TOL):
+    def check(self):
         """Raise unless weights form a positive convex combination of unitaries."""
-        check_weights(self.weights, weight_tol)
-        bad = np.flatnonzero(unitarity_defects(self.unitaries) > unitary_tol)
+        check_weights(self.weights)
+        bad = np.flatnonzero(unitarity_defects(self.unitaries) > UNITARY_TOL)
         if bad.size:
             raise NotUnitary(f"ensemble member {bad[0]} is not unitary within tolerance")
         return self
@@ -193,13 +198,13 @@ class SchurSymbol:
     def k(self) -> int:
         return self.c.shape[0]
 
-    def check(self, diag_tol: float = 1e-10):
+    def check(self):
         """Raise unless c is PSD with unit diagonal."""
         es = herm_eig(self.c)  # rejects non-Hermitian input
-        if es.values.min() < -1e-10 * (1.0 + frob(self.c)):
+        if below_psd_floor(es.values, self.c):
             raise NotCP(f"symbol has eigenvalue {es.values.min():.3e}")
-        off = np.abs(np.diagonal(self.c) - 1.0).max()
-        if off > diag_tol:
+        off = np.abs(np.diagonal(self.c) - 1.0).max(initial=0.0)
+        if off > DIAG_TOL:
             raise MufactError(f"diagonal deviates from 1 by {off:.3e}")
         return self
 
@@ -336,10 +341,10 @@ def choi_of(t, dim: int | None = None) -> ChoiMatrix:
     return ChoiMatrix(from_blocks(blocks), k)
 
 
-def kraus_from_choi(choi: ChoiMatrix, cutoff: float = KRAUS_CUTOFF) -> KrausChannel:
+def kraus_from_choi(choi: ChoiMatrix) -> KrausChannel:
     """Kraus operators from the spectral decomposition of a Choi matrix.
 
-    Eigenvalues at or below `cutoff` are dropped. For the (i, r) composite
+    Eigenvalues at or below KRAUS_CUTOFF are dropped. For the (i, r) composite
     index used here an eigenvector reshapes to a matrix whose transpose is
     the Kraus operator.
     """
@@ -347,7 +352,7 @@ def kraus_from_choi(choi: ChoiMatrix, cutoff: float = KRAUS_CUTOFF) -> KrausChan
     k = choi.k
     kraus = []
     for lam, v in zip(es.values, es.vectors.T):
-        if lam <= cutoff:
+        if lam <= KRAUS_CUTOFF:
             break  # eigenvalues are descending
         kraus.append(np.sqrt(lam) * v.reshape(k, k).T)
     if not kraus:
@@ -366,10 +371,9 @@ def verify_channel(t, dim: int | None = None) -> ChannelReport:
     blocks = to_blocks(choi.matrix, k, k)
     tp_res = frob(np.trace(blocks, axis1=2, axis2=3) - np.eye(k))
     unital_res = frob(np.trace(blocks, axis1=0, axis2=1) - np.eye(k))
-    scale = 1.0 + frob(choi.matrix)
     return ChannelReport(
         dim=k,
-        cp=cp_res <= CHANNEL_TOL * scale,
+        cp=cp_res <= CHANNEL_TOL * (1.0 + frob(choi.matrix)),
         tp=tp_res <= CHANNEL_TOL,
         unital=unital_res <= CHANNEL_TOL,
         cp_residual=cp_res,
@@ -430,7 +434,7 @@ def delta_compress(phi, d: int, k: int) -> DeltaCompression:
 # diagonal biaverages
 
 
-def d_biaverage(t, dim: int | None = None, cp_tol: float = CHANNEL_TOL) -> ComplexMatrix:
+def d_biaverage(t, dim: int | None = None) -> ComplexMatrix:
     """Symbol of the two-sided diagonal-unitary average of a CP map.
 
     Averaging D* T(D . D') D'* over independent diagonal unitaries leaves a
@@ -438,15 +442,14 @@ def d_biaverage(t, dim: int | None = None, cp_tol: float = CHANNEL_TOL) -> Compl
     off the Choi matrix and raises NotCP if that matrix is not PSD.
     """
     choi = choi_of(t, dim)
-    scale = 1.0 + frob(choi.matrix)
-    if choi.cp_residual() > cp_tol * scale:
+    if choi.cp_residual() > CHANNEL_TOL * (1.0 + frob(choi.matrix)):
         raise NotCP("Choi matrix has a negative eigenvalue beyond tolerance")
     k = choi.k
     idx = np.arange(k) * k + np.arange(k)  # composite index of (i, i)
     return choi.matrix[np.ix_(idx, idx)].copy()
 
 
-def biaverage_pm_oracle(t, dim: int | None = None, max_k: int = 8) -> ComplexMatrix:
+def biaverage_pm_oracle(t, dim: int | None = None) -> ComplexMatrix:
     """Diagonal biaverage computed literally from +-1 sign matrices.
 
     Enumerates all 2^k sign diagonals on each side, averages the conjugated
@@ -458,8 +461,8 @@ def biaverage_pm_oracle(t, dim: int | None = None, max_k: int = 8) -> ComplexMat
     """
     choi = choi_of(t, dim)
     k = choi.k
-    if k > max_k:
-        raise DimensionTooLarge(f"sign enumeration capped at k={max_k}, got k={k}")
+    if k > SIGN_ORACLE_MAX_K:
+        raise DimensionTooLarge(f"sign enumeration capped at k={SIGN_ORACLE_MAX_K}, got k={k}")
     blocks = to_blocks(choi.matrix, k, k)
     n = 1 << k
     signs = 1.0 - 2.0 * (

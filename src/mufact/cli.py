@@ -7,6 +7,7 @@ requested tolerance, 4 verification failure, 5 numeric domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -22,7 +23,7 @@ from .errors import (
 )
 from .linalg import random_correlation, rng_from_seed
 from .channels import ChoiMatrix, MixedUnitaryEnsemble, SchurSymbol, schur_apply, verify_channel
-from .channels import biaverage_pm_oracle, d_biaverage
+from .channels import SIGN_ORACLE_MAX_K, biaverage_pm_oracle, d_biaverage
 from .factorise import (
     UnitaryTupleEnsemble,
     correction_pipeline,
@@ -47,27 +48,28 @@ def _positive_float(text: str) -> float:
     return v
 
 
-def _positive_int(text: str) -> int:
+def _nonneg_int(text: str) -> int:
     try:
         v = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative: {text!r}")
+    return v
+
+
+def _positive_int(text: str) -> int:
+    v = _nonneg_int(text)
     if v < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
     return v
 
 
-def _load_unitary_ensemble(path: str) -> MixedUnitaryEnsemble:
+def _load_ensemble(path: str, form: type):
     e = fileio.load_ensemble(path)
-    if not isinstance(e, MixedUnitaryEnsemble):
-        raise FileFormatError(f"{path}: expected an ensemble in unitary form")
-    return e
-
-
-def _load_tuple_ensemble(path: str) -> UnitaryTupleEnsemble:
-    e = fileio.load_ensemble(path)
-    if not isinstance(e, UnitaryTupleEnsemble):
-        raise FileFormatError(f"{path}: expected an ensemble in tuple form")
+    if not isinstance(e, form):
+        kind = "unitary" if form is MixedUnitaryEnsemble else "tuple"
+        raise FileFormatError(f"{path}: expected an ensemble in {kind} form")
     return e
 
 
@@ -148,7 +150,7 @@ def _cmd_factorise(args) -> int:
 
 
 def _cmd_mu(args) -> int:
-    ens = _load_tuple_ensemble(args.tuples)
+    ens = _load_ensemble(args.tuples, UnitaryTupleEnsemble)
     mu = mu_ensemble_from_tuples(ens)
     fileio.save_json(args.out, fileio.ensemble_to_json(mu))
     print(f"wrote mixed-unitary ensemble with {mu.size} members to {args.out}")
@@ -156,7 +158,7 @@ def _cmd_mu(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    ens = _load_unitary_ensemble(args.ensemble)
+    ens = _load_ensemble(args.ensemble, MixedUnitaryEnsemble)
     c = fileio.load_matrix(args.C)
     tuples = tuples_from_ensemble(ens, c, args.d, args.k, tol=args.tol)
     fileio.save_json(args.out, fileio.tuple_ensemble_to_json(tuples))
@@ -166,10 +168,8 @@ def _cmd_extract(args) -> int:
 
 def _cmd_correct(args) -> int:
     t0 = time.perf_counter()
-    c = fileio.load_matrix(args.C)
-    phi = _load_unitary_ensemble(args.phi)
-    if c.shape[0] != c.shape[1] or c.shape[0] == 0:
-        raise FileFormatError(f"{args.C}: target must be a square matrix")
+    c = _load_square(args.C, "target")
+    phi = _load_ensemble(args.phi, MixedUnitaryEnsemble)
     k = c.shape[0]
     if phi.dim % k != 0:
         raise FileFormatError(
@@ -244,7 +244,7 @@ def _cmd_biaverage(args) -> int:
     choi = _load_choi(args.choi)
     b = d_biaverage(choi)
     results = {"k": choi.k, "symbol": b}
-    if choi.k <= 8:
+    if choi.k <= SIGN_ORACLE_MAX_K:
         oracle = biaverage_pm_oracle(choi)
         results["oracle_max_diff"] = float(abs(b - oracle).max())
     _emit(args, "biaverage", {"choi": args.choi}, results, t0)
@@ -267,6 +267,7 @@ def _cmd_dilate(args) -> int:
 # parser
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mufact",
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--d", type=_positive_int, default=1)
     p.add_argument("--atoms", type=_positive_int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
@@ -290,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=_positive_int, default=20)
     p.add_argument("--max-iters", type=_positive_int, default=500)
     p.add_argument("--tol", type=_positive_float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_factorise)
 
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norms", help="norm estimates for a Schur multiplier symbol")
     p.add_argument("--A", required=True)
     p.add_argument("--psd", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_norms)
 
@@ -342,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args._argv = argv
     try:
         return args.func(args)

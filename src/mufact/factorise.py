@@ -32,6 +32,7 @@ from .linalg import (
     unitarity_defects,
 )
 from .channels import (
+    UNITARY_TOL,
     MixedUnitaryEnsemble,
     check_weights,
     choi_of,
@@ -43,6 +44,8 @@ from .channels import (
 from .norms import NormEstimate, schur_cb_norm, split_bound
 
 GRAM_RECOMPUTE_TOL = 1e-12
+# norm slack of halmos_dilate's input, and unitarity test of its output
+DILATION_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +71,8 @@ class UnitaryTuple:
     def d(self) -> int:
         return self.unitaries.shape[1]
 
-    def check(self, tol: float = 1e-10):
-        bad = _first_block(unitarity_defects(self.unitaries) > tol)
+    def check(self):
+        bad = _first_block(unitarity_defects(self.unitaries) > UNITARY_TOL)
         if bad is not None:
             raise NotUnitary(f"tuple entry {bad[0]} is not unitary within tolerance")
         return self
@@ -102,9 +105,9 @@ class UnitaryTupleEnsemble:
     def d(self) -> int:
         return self.tuples.shape[2]
 
-    def check(self, weight_tol: float = 1e-12, unitary_tol: float = 1e-10):
-        check_weights(self.weights, weight_tol)
-        bad = _first_block(unitarity_defects(self.tuples) > unitary_tol)
+    def check(self):
+        check_weights(self.weights)
+        bad = _first_block(unitarity_defects(self.tuples) > UNITARY_TOL)
         if bad is not None:
             raise NotUnitary(f"tuple {bad[0]} entry {bad[1]} is not unitary within tolerance")
         return self
@@ -272,7 +275,7 @@ def tuples_from_ensemble(
 # Halmos dilation and the correction pipeline
 
 
-def halmos_dilate(x, tol: float = 1e-9) -> np.ndarray:
+def halmos_dilate(x) -> np.ndarray:
     """Unitary 2d x 2d dilation of a contraction with both diagonal corners X.
 
     W = [[X, CU], [-UD, X]] with C = sqrt(I - XX*), D = sqrt(I - X*X) and U
@@ -280,8 +283,8 @@ def halmos_dilate(x, tol: float = 1e-9) -> np.ndarray:
     the single matrix P diag(sqrt(1 - s^2)) Q* of an SVD X = P diag(s) Q*,
     which is how they are computed: taking C and D from separate square
     roots would break their intertwining relation at the sqrt(eps) level
-    for nearly unitary X. Inputs with operator norm in (1, 1 + tol] are
-    rescaled to contractions; larger norms raise NormTooLarge.
+    for nearly unitary X. Inputs with operator norm in (1, 1 + DILATION_TOL]
+    are rescaled to contractions; larger norms raise NormTooLarge.
 
     X may also be a (..., d, d) stack; every block is dilated on its own,
     exactly as if passed alone, into a (..., 2d, 2d) stack. Errors name the
@@ -292,7 +295,7 @@ def halmos_dilate(x, tol: float = 1e-9) -> np.ndarray:
         raise ShapeMismatch(f"dilation needs square matrices, got shape {m.shape}")
     d = m.shape[-1]
     nrm = np.linalg.svd(m, compute_uv=False).max(axis=-1, initial=0.0)
-    at = _first_block(nrm > 1.0 + tol)
+    at = _first_block(nrm > 1.0 + DILATION_TOL)
     if at is not None:
         where = f"block {at} " if at else ""
         raise NormTooLarge(
@@ -307,7 +310,7 @@ def halmos_dilate(x, tol: float = 1e-9) -> np.ndarray:
     w[..., :d, :d] = w[..., d:, d:] = m
     w[..., :d, d:] = b
     w[..., d:, :d] = -b
-    at = _first_block(unitarity_defects(w) > tol)
+    at = _first_block(unitarity_defects(w) > DILATION_TOL)
     if at is not None:
         where = f" at block {at}" if at else ""
         raise MufactError(f"dilation failed to produce a unitary{where}")
@@ -723,12 +726,10 @@ def dist_upper_bound(
     Gram average, so the bound can never increase along d -> 2d.
     """
     target = as_matrix(c)
+    solver = dict(atoms=atoms, restarts=restarts, max_iters=max_iters, tol=tol, seed=seed)
     candidates = []
     if d % 2 == 0:
-        sub = dist_upper_bound(
-            target, d // 2, atoms=atoms, restarts=restarts,
-            max_iters=max_iters, tol=tol, seed=seed,
-        )
+        sub = dist_upper_bound(target, d // 2, **solver)
         small = sub.certificate.ensemble
         lifted = np.zeros((small.size, small.k, d, d), dtype=complex)
         half = d // 2
@@ -743,10 +744,7 @@ def dist_upper_bound(
         )
         candidates.append((sub.value, 0, cert, sub.cb, sub.split))
 
-    fresh = membership_solve(
-        target, d, atoms=atoms, restarts=restarts,
-        max_iters=max_iters, tol=tol, seed=seed,
-    )
+    fresh = membership_solve(target, d, **solver)
     delta = target - fresh.achieved
     cb = schur_cb_norm(delta)
     candidates.append((cb.upper, 1, fresh, cb, split_bound(delta)))

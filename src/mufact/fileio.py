@@ -24,8 +24,11 @@ from .factorise import GramCertificate, UnitaryTupleEnsemble
 def save_json(path: str, obj) -> None:
     # json.dumps without indent runs CPython's C encoder; json.dump never does
     text = json.dumps(obj, sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def load_json(path: str):
@@ -165,8 +168,8 @@ def ensemble_from_json(obj) -> MixedUnitaryEnsemble | UnitaryTupleEnsemble:
         if "n" in obj and _count(obj, "n") != len(us):
             raise FileFormatError("field n disagrees with the unitary count")
         mats = [matrix_from_json(u) for u in us]
-        if any(m.shape != mats[0].shape or m.shape[0] != m.shape[1] for m in mats):
-            raise FileFormatError("ensemble members must be square and same-sized")
+        if (n := mats[0].shape[0]) == 0 or any(m.shape != (n, n) for m in mats):
+            raise FileFormatError("ensemble members must be non-empty, square and same-sized")
         return MixedUnitaryEnsemble(_weights_from_json(obj, len(mats)), np.stack(mats))
     if "tuples" in obj:
         d, k = _count(obj, "d"), _count(obj, "k")

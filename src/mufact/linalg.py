@@ -102,15 +102,19 @@ def polar(x) -> PolarParts:
     return PolarParts(unitary_factor=u, psd_factor=psd)
 
 
+def below_psd_floor(values: np.ndarray, a) -> bool:
+    """Whether eigenvalues `values` of A dip below -PSD_FLOOR * (1 + ||A||_F)."""
+    return bool(values.min(initial=0.0) < -PSD_FLOOR * (1.0 + frob(a)))
+
+
 def sqrt_psd(a) -> ComplexMatrix:
     """Principal square root of a PSD matrix.
 
-    Eigenvalues in [-1e-10 * (1 + ||A||_F), 0) are clamped to zero; anything
-    below that floor raises NotPSD.
+    Negative eigenvalues above the PSD floor (see below_psd_floor) are
+    clamped to zero; anything below it raises NotPSD.
     """
     es = herm_eig(a)
-    floor = -PSD_FLOOR * (1.0 + frob(a))
-    if es.values.min(initial=0.0) < floor:
+    if below_psd_floor(es.values, a):
         raise NotPSD(f"eigenvalue {es.values.min():.3e} below PSD floor")
     vals = np.clip(es.values, 0.0, None)
     v = es.vectors

@@ -16,13 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MufactError, NotPSD
-from .linalg import as_matrix, dagger, frob, herm_eig, polar, random_haar_unitary, rng_from_seed
+from .linalg import as_matrix, dagger, herm_eig, polar, random_haar_unitary, rng_from_seed
+from .linalg import below_psd_floor
 from .channels import choi_of, to_blocks
 
 # certificate steps per bracket; acceptance 10's slowest symbol takes 1,472
 _MAX_STEPS = 4000
 # least certificate weight: at 1e-12 rounding in RC swamps the E term
 _FLOOR = 1e-4
+# seeded Haar starts, and ascent steps per start, of superop_norm_lb
+_SUPEROP_STARTS = 4
+_SUPEROP_ITERS = 60
 
 
 @dataclass
@@ -52,11 +56,9 @@ def schur_norm_psd(c) -> float:
     """
     a = as_matrix(c)
     es = herm_eig(a)
-    if es.values.min(initial=0.0) < -1e-10 * (1.0 + frob(a)):
+    if below_psd_floor(es.values, a):
         raise NotPSD(f"symbol has eigenvalue {es.values.min():.3e}")
-    if a.shape[0] == 0:
-        return 0.0
-    return float(max(0.0, np.real(np.diagonal(a)).max()))
+    return float(max(0.0, np.real(np.diagonal(a)).max(initial=0.0)))
 
 
 def split_bound(a) -> float:
@@ -173,13 +175,7 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
     return NormEstimate(lower, upper, "haagerup-certificate", iterations=steps)
 
 
-def superop_norm_lb(
-    phi,
-    dim: int | None = None,
-    seed: int = 0,
-    starts: int = 4,
-    iters: int = 60,
-) -> float:
+def superop_norm_lb(phi, dim: int | None = None, seed: int = 0) -> float:
     """Lower bound on the operator norm of a map on n x n matrices.
 
     Ascends sigma_max(Phi(U)) over the unitary group with polar retraction;
@@ -187,7 +183,8 @@ def superop_norm_lb(
     over the unit ball is attained at a unitary (the extreme points), so
     the restriction loses nothing in principle. Deterministic starts are
     the n cyclic shift permutations (the identity among them), followed by
-    `starts` seeded Haar unitaries.
+    _SUPEROP_STARTS seeded Haar unitaries; each start takes at most
+    _SUPEROP_ITERS ascent steps.
     """
     choi = choi_of(phi, dim)
     n = choi.k
@@ -198,15 +195,9 @@ def superop_norm_lb(
     def value(u):
         return np.einsum("ab,abrs->rs", u, basis)
 
-    shift = np.roll(np.eye(n), 1, axis=0)
-    inits = []
-    u = np.eye(n, dtype=complex)
-    for _ in range(n):
-        inits.append(u)
-        u = shift @ u
+    inits = [np.roll(np.eye(n, dtype=complex), s, axis=0) for s in range(n)]
     rng = rng_from_seed(seed, (0xD0,))
-    for _ in range(starts):
-        inits.append(random_haar_unitary(n, rng))
+    inits += [random_haar_unitary(n, rng) for _ in range(_SUPEROP_STARTS)]
 
     best = 0.0
     for u0 in inits:
@@ -216,7 +207,7 @@ def superop_norm_lb(
         f = float(s[0])
         best = max(best, f)
         step = 0.2
-        for _ in range(iters):
+        for _ in range(_SUPEROP_ITERS):
             lvec = np.conj(pmat[:, 0])
             rvec = np.conj(qh[0])
             grad = np.conj(np.einsum("r,abrs,s->ab", lvec, basis, rvec))

@@ -182,6 +182,12 @@ def test_schur_symbol_check():
         SchurSymbol(np.diag([1.0, 0.5])).check()
 
 
+def test_schur_symbol_check_accepts_the_empty_symbol():
+    # vacuously PSD with unit diagonal, as sqrt_psd and schur_norm_psd read it
+    sym = SchurSymbol(np.zeros((0, 0)))
+    assert sym.check() is sym
+
+
 # ---------------------------------------------------------------------------
 # lifted maps
 

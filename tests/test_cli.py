@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mufact import choi_of, fileio
-from mufact.cli import main
+from mufact.cli import build_parser, main
 
 
 def run(argv):
@@ -286,3 +286,48 @@ def test_dilate_cli(tmp_path):
     fileio.save_matrix(big, np.array([[1.5]]))
     rc, _, err = run(["dilate", "--X", big])
     assert rc == 5 and "numeric domain error" in err
+
+
+# ---------------------------------------------------------------------------
+# degenerate inputs, unwritable outputs and bad seeds exit 2
+
+
+def test_correct_on_an_ensemble_of_empty_members_exits_2(tmp_path):
+    one = str(tmp_path / "one.json")
+    fileio.save_matrix(one, np.ones((1, 1)))
+    u0 = str(tmp_path / "u0.json")
+    (tmp_path / "u0.json").write_text(json.dumps(
+        {"weights": [1.0], "unitaries": [{"rows": 0, "cols": 0, "entries": []}]}))
+    rc, _, err = run(["correct", "--C", one, "--phi", u0, "--epsilon", "0.1",
+                      "--out", str(tmp_path / "r")])
+    assert rc == 2 and "non-empty" in err
+    assert run(["verify", "--what", "ensemble", u0])[0] == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "tuple", "--k", "2"],
+    ["factorise", "--d", "1", "--restarts", "1", "--max-iters", "5"],
+    ["norms"],
+])
+def test_unwritable_out_exits_2(tmp_path, command):
+    c = str(tmp_path / "c.json")
+    fileio.save_matrix(c, np.eye(2))
+    inputs = {"factorise": ["--C", c], "norms": ["--A", c]}.get(command[0], [])
+    out = str(tmp_path / "missing" / "x.json")
+    rc, _, err = run(command + inputs + ["--out", out])
+    assert rc == 2 and "cannot write" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "correlation", "--k", "2", "--out", "x.json"],
+    ["factorise", "--C", "c.json", "--d", "1", "--out", "x.json"],
+    ["norms", "--A", "c.json"],
+])
+def test_negative_seed_is_a_usage_error(command):
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--seed", "-1"])
+    assert exc.value.code == 2
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()

@@ -98,3 +98,51 @@ def test_verify_exits_with_a_documented_code(tmp_path, what, text):
        text=st.one_of(matrices(), junk).map(json.dumps))
 def test_norms_and_dilate_exit_with_a_documented_code(tmp_path, command, text):
     assert run_on(tmp_path, command, text) in EXIT_CODES
+
+
+phases = st.sampled_from([[1, 0], [-1, 0], [0, 1], [0, -1]])
+
+
+@st.composite
+def diagonal_unitaries(draw, n):
+    """An n x n diagonal unitary with phases in {1, -1, i, -i}, as a matrix object."""
+    entries = [[0, 0]] * (n * n)
+    for i in range(n):
+        entries[i * n + i] = draw(phases)
+    return {"rows": n, "cols": n, "entries": entries}
+
+
+@st.composite
+def shaped_ensembles(draw, form):
+    """Ensembles in `form` ("unitaries" or "tuples") whose members are
+    diagonal unitaries of one size, 0 x 0 included, with weights that are
+    uniform or fuzzed."""
+    count = draw(st.integers(1, 3))
+    uniform = [1.0 / count] * count
+    w = draw(st.one_of(st.just(uniform), st.lists(number, min_size=count, max_size=count)))
+    if form == "unitaries":
+        n = draw(st.integers(0, 3))
+        return {"weights": w, "unitaries": [draw(diagonal_unitaries(n)) for _ in range(count)]}
+    d, k = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    tuples = [[draw(diagonal_unitaries(d)) for _ in range(k)] for _ in range(count)]
+    return {"d": d, "k": k, "weights": w, "tuples": tuples}
+
+
+@FUZZ
+@given(command=st.sampled_from(["mu", "extract", "correct"]),
+       c=st.sampled_from([[[1.0]], [[1.0, 0.5], [0.5, 1.0]]]),
+       d=st.integers(1, 2),
+       data=st.data())
+def test_ensemble_inputs_exit_with_a_documented_code(tmp_path, command, c, d, data):
+    ensemble = data.draw(shaped_ensembles("tuples" if command == "mu" else "unitaries"))
+    c_path, out = str(tmp_path / "C.json"), str(tmp_path / "out")
+    k = len(c)
+    (tmp_path / "C.json").write_text(json.dumps(
+        {"rows": k, "cols": k, "entries": [[x, 0.0] for row in c for x in row]}))
+    argv = {
+        "mu": ["mu", "--out", out, "--tuples"],
+        "extract": ["extract", "--C", c_path, "--d", str(d), "--k", str(k),
+                    "--out", out, "--ensemble"],
+        "correct": ["correct", "--C", c_path, "--epsilon", "0.1", "--out", out, "--phi"],
+    }[command]
+    assert run_on(tmp_path, argv, json.dumps(ensemble)) in EXIT_CODES
