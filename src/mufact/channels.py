@@ -33,8 +33,10 @@ UNITARY_TOL = 1e-10
 DIAG_TOL = 1e-10
 CHANNEL_TOL = 1e-9
 KRAUS_CUTOFF = 1e-10
-# largest k for which biaverage_pm_oracle enumerates its 4^k sign pairs
+# largest k for which biaverage_pm_oracle enumerates its 4^k sign pairs,
+# and its support test: off-(i, j) mass of each averaged block, relative
 SIGN_ORACLE_MAX_K = 8
+SIGN_SUPPORT_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -42,11 +44,14 @@ SIGN_ORACLE_MAX_K = 8
 
 
 def to_blocks(m, d: int, k: int) -> np.ndarray:
-    """View a dk x dk matrix as a (k, k, d, d) array of blocks."""
-    a = as_matrix(m)
-    if a.shape != (d * k, d * k):
+    """View a dk x dk matrix as a (k, k, d, d) array of blocks.
+
+    A (..., dk, dk) stack becomes a (..., k, k, d, d) view, member by member.
+    """
+    a = np.asarray(m, dtype=complex)
+    if a.shape[-2:] != (d * k, d * k):
         raise ShapeMismatch(f"expected shape {(d * k, d * k)}, got {a.shape}")
-    return a.reshape(k, d, k, d).transpose(0, 2, 1, 3)
+    return a.reshape(a.shape[:-2] + (k, d, k, d)).swapaxes(-3, -2)
 
 
 def from_blocks(blocks) -> ComplexMatrix:
@@ -139,9 +144,11 @@ class ChoiMatrix:
         blocks = to_blocks(self.matrix, self.k, self.k)
         return np.einsum("ij,ijrs->rs", m, blocks)
 
-    def cp_residual(self) -> float:
-        vals = herm_eig(self.matrix).values
-        return float(max(0.0, -vals.min()))
+    def cp_check(self) -> tuple[float, bool]:
+        """CP residual (the most negative eigenvalue's size, 0 when PSD), and
+        whether it is within CHANNEL_TOL * (1 + ||Choi||_F)."""
+        res = float(max(0.0, -herm_eig(self.matrix).values.min()))
+        return res, res <= CHANNEL_TOL * (1.0 + frob(self.matrix))
 
 
 @dataclass
@@ -237,19 +244,13 @@ class DeltaCompression:
     @cached_property
     def composed(self) -> MixedUnitaryEnsemble | None:
         """Each input member sandwiched between Weyl unitaries on the block
-        factor: d^2 * M * d^2 members of weight p_m / d^4, built and checked
-        on first access. None when the input was not an ensemble."""
+        factor by weyl_sandwich: d^4 * M members of weight p_m / d^4, built
+        and checked on first access. None when the input was not an ensemble."""
         phi = self.ensemble
         if phi is None:
             return None
         k = self.choi.k
-        d = phi.dim // k
-        n_w = d * d
-        lifted = np.stack([np.kron(np.eye(k), w) for w in weyl_unitaries(d)])
-        post_v = lifted[:, None] @ phi.unitaries[None]  # (post, m)
-        unitaries = post_v[:, :, None] @ lifted[None, None]  # (post, m, pre)
-        weights = np.tile(np.repeat(phi.weights / (n_w * n_w), n_w), n_w)
-        return MixedUnitaryEnsemble(weights, unitaries.reshape(-1, phi.dim, phi.dim)).check()
+        return weyl_sandwich(phi.weights, phi.unitaries, phi.dim // k, k)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +287,19 @@ def weyl_unitaries(d: int) -> np.ndarray:
             wab = wab @ dmat
         sa = s @ sa
     return out
+
+
+def weyl_sandwich(weights, unitaries, d: int, k: int) -> MixedUnitaryEnsemble:
+    """The members (I_k (x) W_a) U_m (I_k (x) W_b) of weight p_m / d^4.
+
+    U_m is a (M, dk, dk) stack and W_a, W_b run over the d^2 Weyl unitaries;
+    members are ordered by (m, a, b). The two Weyl averages depolarise
+    every d x d block. The result is checked.
+    """
+    lifted = np.stack([np.kron(np.eye(k), w) for w in weyl_unitaries(d)])
+    members = (lifted @ unitaries[:, None])[:, :, None] @ lifted  # (m, a, b)
+    out_w = np.repeat(weights / d ** 4, d ** 4)
+    return MixedUnitaryEnsemble(out_w, members.reshape(len(out_w), d * k, d * k)).check()
 
 
 def depolarizing_ensemble(d: int) -> MixedUnitaryEnsemble:
@@ -367,13 +381,13 @@ def verify_channel(t, dim: int | None = None) -> ChannelReport:
     """
     choi = choi_of(t, dim)
     k = choi.k
-    cp_res = choi.cp_residual()
+    cp_res, cp_ok = choi.cp_check()
     blocks = to_blocks(choi.matrix, k, k)
     tp_res = frob(np.trace(blocks, axis1=2, axis2=3) - np.eye(k))
     unital_res = frob(np.trace(blocks, axis1=0, axis2=1) - np.eye(k))
     return ChannelReport(
         dim=k,
-        cp=cp_res <= CHANNEL_TOL * (1.0 + frob(choi.matrix)),
+        cp=cp_ok,
         tp=tp_res <= CHANNEL_TOL,
         unital=unital_res <= CHANNEL_TOL,
         cp_residual=cp_res,
@@ -442,7 +456,7 @@ def d_biaverage(t, dim: int | None = None) -> ComplexMatrix:
     off the Choi matrix and raises NotCP if that matrix is not PSD.
     """
     choi = choi_of(t, dim)
-    if choi.cp_residual() > CHANNEL_TOL * (1.0 + frob(choi.matrix)):
+    if not choi.cp_check()[1]:
         raise NotCP("Choi matrix has a negative eigenvalue beyond tolerance")
     k = choi.k
     idx = np.arange(k) * k + np.arange(k)  # composite index of (i, i)
@@ -476,6 +490,6 @@ def biaverage_pm_oracle(t, dim: int | None = None) -> ComplexMatrix:
             avg = second[i][:, None] * y * second[j][None, :]
             b[i, j] = avg[i, j]
             avg[i, j] = 0.0
-            if np.abs(avg).max() > 1e-12 * (1.0 + np.abs(y).max()):
+            if np.abs(avg).max() > SIGN_SUPPORT_TOL * (1.0 + np.abs(y).max()):
                 raise MufactError("sign biaverage is not a Schur multiplier")
     return b

@@ -39,13 +39,16 @@ from .channels import (
     d_biaverage,
     delta_compress,
     lift_schur,
-    weyl_unitaries,
+    to_blocks,
+    weyl_sandwich,
 )
 from .norms import NormEstimate, schur_cb_norm, split_bound
 
 GRAM_RECOMPUTE_TOL = 1e-12
 # norm slack of halmos_dilate's input, and unitarity test of its output
 DILATION_TOL = 1e-9
+# largest entry gap between correction_pipeline's two routes to c_tilde
+BIAVERAGE_CROSSCHECK_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +138,6 @@ def gram_matrix(t) -> np.ndarray:
     return _grams(u)
 
 
-def _member_blocks(unitaries: np.ndarray, d: int, k: int) -> np.ndarray:
-    """(M, k, k, d, d) block view of a (M, dk, dk) stack, as to_blocks per member."""
-    return unitaries.reshape(len(unitaries), k, d, k, d).transpose(0, 1, 3, 2, 4)
-
-
 def _haar_tuples(m: int, k: int, d: int, rng) -> np.ndarray:
     """(m, k, d, d) stack of Haar unitaries, drawn tuple by tuple."""
     out = np.empty((m, k, d, d), dtype=complex)
@@ -208,27 +206,17 @@ def verify_certificate(cert: GramCertificate, tol: float = GRAM_RECOMPUTE_TOL):
 def mu_ensemble_from_tuples(ensemble: UnitaryTupleEnsemble) -> MixedUnitaryEnsemble:
     """Mixed-unitary ensemble realising the lifted channel of the Gram average.
 
-    Each tuple member contributes d^4 block-diagonal unitaries: its adjoint
-    entries sandwiched between all pairs of Weyl unitaries, with weight
-    p_m / d^4. The two Weyl averages depolarise the blocks, leaving
-    block (i, j) of the input multiplied by c_ij = tr_d(U_i* U_j).
+    Each tuple member contributes d^4 block-diagonal unitaries: the block
+    diagonal of its adjoint entries sandwiched between all pairs of Weyl
+    unitaries (weyl_sandwich), with weight p_m / d^4. The two Weyl averages
+    depolarise the blocks, leaving block (i, j) of the input multiplied by
+    c_ij = tr_d(U_i* U_j).
     """
     ensemble.check()
-    m_cnt, k, d = ensemble.size, ensemble.k, ensemble.d
-    w = weyl_unitaries(d)
-    n_w = d * d
-    adj = np.conj(ensemble.tuples.transpose(0, 1, 3, 2))  # per-entry adjoints
-    out_w = np.empty(m_cnt * n_w * n_w)
-    out_u = np.zeros((m_cnt * n_w * n_w, d * k, d * k), dtype=complex)
-    for m in range(m_cnt):
-        # sandwich[a, b, i] = W_a @ adj[m, i] @ W_b
-        sandwich = np.einsum("axy,iyz,bzw->abixw", w, adj[m], w)
-        base = m * n_w * n_w
-        flat = sandwich.reshape(n_w * n_w, k, d, d)
-        for i in range(k):
-            out_u[base:base + n_w * n_w, i * d:(i + 1) * d, i * d:(i + 1) * d] = flat[:, i]
-        out_w[base:base + n_w * n_w] = ensemble.weights[m] / (n_w * n_w)
-    return MixedUnitaryEnsemble(out_w, out_u).check()
+    k, d = ensemble.k, ensemble.d
+    adj = np.zeros((ensemble.size, d * k, d * k), dtype=complex)
+    to_blocks(adj, d, k)[:, range(k), range(k)] = np.conj(ensemble.tuples.swapaxes(-1, -2))
+    return weyl_sandwich(ensemble.weights, adj, d, k)
 
 
 def tuples_from_ensemble(
@@ -257,7 +245,7 @@ def tuples_from_ensemble(
         raise NotAFactorisation(
             f"ensemble action deviates from the lifted channel by {worst:.3e}"
         )
-    blocks = _member_blocks(ensemble.unitaries, d, k)
+    blocks = to_blocks(ensemble.unitaries, d, k)
     off = blocks.copy()
     off[:, range(k), range(k)] = 0.0
     worst_off = np.abs(off).max(initial=0.0)
@@ -350,13 +338,13 @@ def correction_pipeline(
             f"ensemble dimension {phi.dim} does not match d={d} and k={k}"
         )
     phi.check()
-    blocks = _member_blocks(phi.unitaries, d, k)
+    blocks = to_blocks(phi.unitaries, d, k)
     diag = blocks[:, range(k), range(k)]  # (M, k, d, d)
 
     c_tilde = np.einsum("m,mij->ij", phi.weights, _grams(np.conj(diag)))
     compressed = delta_compress(phi, d, k)
     via_choi = d_biaverage(compressed.choi)
-    if np.abs(c_tilde - via_choi).max() > 1e-9:
+    if np.abs(c_tilde - via_choi).max() > BIAVERAGE_CROSSCHECK_TOL:
         raise MufactError("compressed-map biaverage disagrees with block Grams")
 
     dil = np.ascontiguousarray(np.conj(np.swapaxes(halmos_dilate(diag), -1, -2)))

@@ -5,8 +5,10 @@ the least max_i ||r_i|| * max_j ||c_j|| over factorisations
 a_ij = <r_i, c_j> (Haagerup; see Paulsen, *Completely Bounded Maps and
 Operator Algebras*, ch. 8). So every factorisation certifies an upper end,
 and every trace norm ||D_x A D_y||_1 at positive unit x, y (equal to
-|x^T (A o W) y| for a unitary W) is a lower end. `schur_cb_norm` brackets
-the norm between the two; both ends are sound.
+|x^T (A o W) y| for a unitary W) is a lower end. One SVD of D_x A D_y
+gives both, a factorisation from its factors and the trace norm from its
+singular values, so `schur_cb_norm` brackets the norm with one loop of
+such steps; both ends are sound.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .linalg import as_matrix, dagger, herm_eig, polar, random_haar_unitary, rng
 from .linalg import below_psd_floor
 from .channels import choi_of, to_blocks
 
-# certificate steps per bracket; acceptance 10's slowest symbol takes 1,472
+# certificate steps per bracket; acceptance 10's slowest symbol takes 1,473
 _MAX_STEPS = 4000
 # least certificate weight: at 1e-12 rounding in RC swamps the E term
 _FLOOR = 1e-4
@@ -88,38 +90,6 @@ def _row_col_bound(m) -> float:
     return float(min(np.linalg.norm(m, axis=1).max(), np.linalg.norm(m, axis=0).max()))
 
 
-def _ascent_lb(a) -> float:
-    """Sound lower bound on ||S_A||: ascent of ||D_x A D_y||_1 over unit x, y.
-
-    With D_x A D_y = U S V* and B = conj(U V*) o A, the trace norm equals
-    x^T B y, and |x^T B y| <= ||A o conj(U V*)|| <= ||S_A|| since conj(U V*)
-    is unitary. For fixed B the best x is conj(B y)/||B y||, then y is
-    conj(B^T x)/||B^T x||, so every step is an ascent; it stops when a step
-    gains less than 1e-12 relative. The starts are deterministic: uniform,
-    and the normalised row and column norms.
-    """
-    k = a.shape[0]
-    rows = np.linalg.norm(a, axis=1)
-    cols = np.linalg.norm(a, axis=0)
-    flat = np.full(k, k ** -0.5)
-    best = 0.0
-    for x, y in ((flat, flat), (rows / np.linalg.norm(rows), cols / np.linalg.norm(cols))):
-        value = 0.0
-        for _ in range(200):
-            u, _, vh = np.linalg.svd(x[:, None] * a * y[None, :])
-            b = np.conj(u @ vh) * a
-            bx = b @ y
-            x = np.conj(bx) / np.linalg.norm(bx)
-            by = b.T @ x
-            step = float(np.linalg.norm(by))
-            y = np.conj(by) / step
-            if step <= value * (1.0 + 1e-12):
-                break
-            value = step
-        best = max(best, value)
-    return best
-
-
 def _reweigh(w, norms, trace: float):
     """Damped step toward norms_i**2 == trace, floored, then made unit."""
     w = np.maximum(w * (norms ** 2 / trace) ** 0.25, _FLOOR)
@@ -129,21 +99,22 @@ def _reweigh(w, norms, trace: float):
 def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
     """Bracket the cb norm of the Schur multiplier with symbol a.
 
-    The lower end starts at max(max|a_ij|, ascent) and the upper end at the
-    least closed-form cap (k * max|a_ij|, the row and column norms, the
-    split bound), so a PSD symbol closes on max_i a_ii with no step. Each
-    certificate step takes positive unit weights x, y (uniform at first),
-    B = D_x A D_y = U S V* (one k x k SVD), and the factorisation A = RC
-    with R = D_x^-1 U S^1/2 and C = S^1/2 V* D_y^-1. The upper end falls to
-    max_i ||R_i|| * max_j ||C^j|| plus the cb bound of E = A - RC (the
-    smaller of its largest row and column norms): RC equals A only up to
-    rounding, and the E term keeps the bound sound. The lower end rises to
-    ||B||_1. Then x_i is scaled by (||R_i||^2 / ||B||_1)^(1/4), y likewise;
-    at the fixed point ||R_i||^2 = ||C^j||^2 = ||B||_1 and the bracket
-    closes. Weights are floored at 1e-4 before they are normalised, because
-    a weight near 1e-9 blows the rounding in RC, and the E term with it, up
-    to the order of ||A||. Steps stop once upper - lower <= rel_gap * upper,
-    or after a fixed cap, in which case the gap can stay above `rel_gap`.
+    The lower end starts at max|a_ij| and the upper end at the lesser
+    closed-form cap (the row and column norms, the split bound), so a PSD
+    symbol closes on max_i a_ii with no step. Otherwise certificate steps
+    move both ends. Each takes positive unit weights x, y (uniform at
+    first), B = D_x A D_y = U S V* (one k x k SVD), and the factorisation
+    A = RC with R = D_x^-1 U S^1/2 and C = S^1/2 V* D_y^-1. The upper end
+    falls to max_i ||R_i|| * max_j ||C^j|| plus the cb bound of E = A - RC
+    (the smaller of its largest row and column norms): RC equals A only up
+    to rounding, and the E term keeps the bound sound. The lower end rises
+    to ||B||_1. Then x_i is scaled by (||R_i||^2 / ||B||_1)^(1/4), y
+    likewise; at the fixed point ||R_i||^2 = ||C^j||^2 = ||B||_1 and the
+    bracket closes. Weights are floored at 1e-4 before they are normalised,
+    because a weight near 1e-9 blows the rounding in RC, and the E term
+    with it, up to the order of ||A||. Steps stop once upper - lower <=
+    rel_gap * upper, or after a fixed cap, in which case the gap can stay
+    above `rel_gap`.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
@@ -152,11 +123,10 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
     scale = float(np.abs(m).max(initial=0.0))
     if scale == 0.0 or k == 0:
         return NormEstimate(0.0, 0.0, "haagerup-certificate")
-    hi = min(k * scale, _row_col_bound(m), split_bound(m))
+    lower = scale
     # rounding can leave a cap a hair below max|a_ij| (0.9999999999999998
-    # for [[0, 1], [1, 0]]) or the ascent a hair above a cap
-    lower = max(scale, min(_ascent_lb(m), hi))
-    upper = max(hi, lower)
+    # for [[0, 1], [1, 0]])
+    upper = max(min(_row_col_bound(m), split_bound(m)), lower)
     x = y = np.full(k, k ** -0.5)
     steps = 0
     while steps < _MAX_STEPS and upper - lower > rel_gap * upper:

@@ -14,6 +14,7 @@ from mufact import (
     NotCP,
     NotUnitary,
     SchurSymbol,
+    ShapeMismatch,
     biaverage_pm_oracle,
     choi_of,
     compress,
@@ -51,6 +52,19 @@ def test_block_round_trip_and_addressing():
     assert blocks.shape == (k, k, d, d)
     assert np.array_equal(blocks[1, 2], m[2:4, 4:6])
     assert np.array_equal(from_blocks(blocks), m)
+
+
+def test_to_blocks_views_a_stack_member_by_member():
+    d, k = 2, 3
+    stack = np.arange(3 * 36, dtype=complex).reshape(3, 6, 6)
+    blocks = to_blocks(stack, d, k)
+    assert blocks.shape == (3, k, k, d, d)
+    assert np.shares_memory(blocks, stack)
+    for member, view in zip(stack, blocks):
+        assert np.array_equal(view, to_blocks(member, d, k))
+    for bad in (np.zeros(36), np.zeros((3, 6, 4))):
+        with pytest.raises(ShapeMismatch):
+            to_blocks(bad, d, k)
 
 
 def test_compress_inverts_embed():
@@ -253,6 +267,20 @@ def test_closed_form_delta_compress_matches_generic_branch(d, k, members):
     generic = delta_compress(phi.apply, d, k)
     assert np.abs(fast.choi.matrix - generic.choi.matrix).max() <= 1e-12
     assert generic.composed is None
+
+
+def test_weyl_sandwich_orders_members_by_input_then_weyl_pair():
+    d, k = 2, 2
+    rng = rng_from_seed(41)
+    weights = np.array([0.25, 0.75])
+    us = np.stack([random_haar_unitary(d * k, rng) for _ in weights])
+    out = channels.weyl_sandwich(weights, us, d, k)
+    lifted = [np.kron(np.eye(k), w) for w in weyl_unitaries(d)]
+    assert out.size == len(weights) * d ** 4
+    for idx, (m, a, b) in enumerate(np.ndindex(len(weights), d * d, d * d)):
+        assert out.weights[idx] == weights[m] / d ** 4
+        want = lifted[a] @ us[m] @ lifted[b]
+        assert np.abs(out.unitaries[idx] - want).max() <= 1e-15
 
 
 def test_correction_pipeline_leaves_composed_unbuilt(monkeypatch):

@@ -105,6 +105,12 @@ def test_mu_ensemble_realises_lifted_schur():
     assert np.abs(mu.apply(x) - lift_schur(c, 2, x)).max() <= 1e-12
 
 
+def test_mu_of_empty_tuples_has_an_empty_member_per_weyl_pair():
+    mu = mu_ensemble_from_tuples(UnitaryTupleEnsemble([1.0], np.zeros((1, 0, 2, 2))))
+    assert mu.unitaries.shape == (16, 0, 0)
+    assert np.array_equal(mu.weights, np.full(16, 1.0 / 16))
+
+
 def test_extract_round_trip():
     ens = random_tuple_ensemble(3, 2, 2, rng_from_seed(36))
     c = ens.gram_average()

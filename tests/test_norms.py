@@ -127,6 +127,26 @@ def test_cb_norm_is_deterministic():
     assert schur_cb_norm(a) == e1
 
 
+@pytest.mark.parametrize("symbol", ["indefinite", "psd"])
+def test_every_svd_of_the_bracket_is_a_certificate_step(monkeypatch, symbol):
+    # one SVD per certificate step sets both ends; nothing else decomposes
+    if symbol == "indefinite":
+        a = _residual(12)
+    else:
+        a = 1.7 * random_correlation(5, rng_from_seed(13))
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    est = schur_cb_norm(a)
+    assert len(calls) == est.iterations
+    assert (est.iterations > 0) == (symbol == "indefinite")
+
+
 def test_cb_bracket_contains_max_diagonal_for_psd():
     rng = rng_from_seed(13)
     a = 1.7 * random_correlation(5, rng)
@@ -242,7 +262,7 @@ def test_cb_lower_stays_below_a_tighter_certified_upper_on_a_residual():
     est = schur_cb_norm(a)
     tight = schur_cb_norm(a, rel_gap=1e-6)
     assert np.abs(a).max() <= est.lower <= est.upper <= 0.016512014469712545
-    assert est.lower == pytest.approx(0.01650815965123521, rel=1e-12)
+    assert est.lower == pytest.approx(0.016508159481513324, rel=1e-12)
     assert est.upper - est.lower <= 1e-4 * est.upper
     assert tight.lower <= tight.upper <= est.upper
     assert tight.upper - tight.lower <= 1e-6 * tight.upper
