@@ -436,6 +436,8 @@ def delta_compress(phi, d: int, k: int) -> DeltaCompression:
     if n != d * k:
         raise ShapeMismatch(f"channel acts on dimension {n}, expected {d * k}")
     if isinstance(phi, MixedUnitaryEnsemble):
+        if n == 0:
+            raise ShapeMismatch("ensemble members must be non-empty")
         ops = phi.unitaries.reshape(-1, k, d, k, d).transpose(0, 2, 4, 1, 3)
         weights = np.repeat(phi.weights / d, d * d)
         choi = ChoiMatrix(_gram_choi(weights, ops.reshape(-1, k, k)), k)

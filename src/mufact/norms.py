@@ -8,24 +8,31 @@ and every trace norm ||D_x A D_y||_1 at positive unit x, y (equal to
 |x^T (A o W) y| for a unitary W) is a lower end. One SVD of D_x A D_y
 gives both, a factorisation from its factors and the trace norm from its
 singular values, so `schur_cb_norm` brackets the norm with one loop of
-such steps; both ends are sound.
+such steps; both ends are sound. The bracket keeps a witness for each end
+(the weights and unitary (x, y, W) of the lower end, the factors (R, C) or
+the closed-form cap of the upper end), and `NormEstimate.check` recomputes
+both ends from them. Since W is unitary, ||A o W|| lies between the two
+ends: one more SVD gives a sound lower bound on the operator norm of S_A,
+`NormEstimate.witness_norm`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import MufactError, NotPSD
-from .linalg import as_matrix, dagger, herm_eig, polar, random_haar_unitary, rng_from_seed
-from .linalg import below_psd_floor
-from .channels import choi_of, to_blocks
+from .linalg import as_matrix, dagger, herm_eig, op_norm, polar, random_haar_unitary, rng_from_seed
+from .linalg import below_psd_floor, unitarity_defects
+from .channels import UNITARY_TOL, choi_of, to_blocks
 
 # certificate steps per bracket; acceptance 10's slowest symbol takes 1,473
 _MAX_STEPS = 4000
 # least certificate weight: at 1e-12 rounding in RC swamps the E term
 _FLOOR = 1e-4
+# drift, relative to the upper end, that NormEstimate.check allows
+WITNESS_TOL = 1e-12
 # seeded Haar starts, and ascent steps per start, of superop_norm_lb
 _SUPEROP_STARTS = 4
 _SUPEROP_ITERS = 60
@@ -35,19 +42,64 @@ _SUPEROP_ITERS = 60
 class NormEstimate:
     """Bracket [lower, upper] for a norm, tagged with how it was computed.
 
-    `iterations` counts the certificate steps spent on the bracket.
+    `iterations` counts the certificate steps spent on the bracket. The
+    witnesses are left out of equality. `lower_witness` is (x, y, w), unit
+    nonnegative weights and a unitary with lower == |x^T (A o w) y|.
+    `upper_witness` is the factors (r, c) of the certificate step that set
+    the upper end, or the name of the closed-form cap that did, "row-col"
+    or "split". A zero symbol has neither.
     """
 
     lower: float
     upper: float
     method: str
     iterations: int = 0
+    lower_witness: tuple | None = field(default=None, compare=False, repr=False)
+    upper_witness: tuple | str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.lower > self.upper * (1.0 + 1e-9):
             raise MufactError(
                 f"norm bracket is inverted: lower={self.lower!r} upper={self.upper!r}"
             )
+
+    def witness_norm(self, a) -> float:
+        """||A o w|| at the lower-end witness, 0.0 for a zero symbol.
+
+        A sound lower bound on the operator norm of S_A, since w is
+        unitary, and at least |x^T (A o w) y| = lower, since x and y are
+        unit vectors; so it lies in [lower, upper]. One SVD.
+        """
+        if self.lower_witness is None:
+            return 0.0
+        return op_norm(as_matrix(a) * self.lower_witness[2])
+
+    def check(self, a, tol: float = WITNESS_TOL) -> None:
+        """Recompute both ends of a's bracket from the witnesses.
+
+        Raises MufactError unless the weights are unit and nonnegative, w
+        is unitary within UNITARY_TOL, and both recomputed ends are within
+        tol * upper of the reported ones.
+        """
+        m = as_matrix(a)
+        if self.lower_witness is None or self.upper_witness is None:
+            if self.lower == self.upper == 0.0 == np.abs(m).max(initial=0.0):
+                return
+            raise MufactError("only a zero symbol's bracket may lack witnesses")
+        x, y, w = self.lower_witness
+        for v in (x, y):
+            if v.min() < 0.0 or abs(np.linalg.norm(v) - 1.0) > tol:
+                raise MufactError("lower-end weights are not unit and nonnegative")
+        if unitarity_defects(w) > UNITARY_TOL:
+            raise MufactError("lower-end witness is not unitary")
+        lower = abs(x @ (m * w) @ y)
+        if isinstance(self.upper_witness, str):
+            upper = _CAPS[self.upper_witness](m)
+        else:
+            upper = _factor_bound(m, *self.upper_witness)[0]
+        for end, fresh, given in (("lower", lower, self.lower), ("upper", upper, self.upper)):
+            if abs(fresh - given) > tol * self.upper:
+                raise MufactError(f"{end} end {given!r} does not reproduce: witness gives {fresh!r}")
 
 
 def schur_norm_psd(c) -> float:
@@ -90,6 +142,21 @@ def _row_col_bound(m) -> float:
     return float(min(np.linalg.norm(m, axis=1).max(), np.linalg.norm(m, axis=0).max()))
 
 
+# the closed-form upper caps, by the name an upper-end witness gives
+_CAPS = {"row-col": _row_col_bound, "split": split_bound}
+
+
+def _factor_bound(m, r, c):
+    """cb bound of A from A ~ RC, with R's row and C's column norms.
+
+    max_i ||R_i|| * max_j ||C^j|| bounds RC; the cb bound of E = A - RC
+    (its smaller largest row or column norm) covers the rounding.
+    """
+    rows = np.linalg.norm(r, axis=1)
+    cols = np.linalg.norm(c, axis=0)
+    return float(rows.max() * cols.max()) + _row_col_bound(m - r @ c), rows, cols
+
+
 def _reweigh(w, norms, trace: float):
     """Damped step toward norms_i**2 == trace, floored, then made unit."""
     w = np.maximum(w * (norms ** 2 / trace) ** 0.25, _FLOOR)
@@ -115,6 +182,12 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
     with it, up to the order of ||A||. Steps stop once upper - lower <=
     rel_gap * upper, or after a fixed cap, in which case the gap can stay
     above `rel_gap`.
+
+    The estimate carries a witness for each end (see NormEstimate). The
+    lower end's is (x, y, conj(U V*)) of the step that set it, since
+    ||B||_1 = tr(U* B V) = x^T (A o conj(U V*)) y; while max|a_ij| still
+    sets it, it is (e_i, e_j) and the cyclic shift with w_ij = 1. The upper
+    end's is the (R, C) of the step that set it, or the name of the cap.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
@@ -124,10 +197,13 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
     if scale == 0.0 or k == 0:
         return NormEstimate(0.0, 0.0, "haagerup-certificate")
     lower = scale
+    caps = {name: cap(m) for name, cap in _CAPS.items()}
+    upper_by = min(caps, key=caps.get)
     # rounding can leave a cap a hair below max|a_ij| (0.9999999999999998
     # for [[0, 1], [1, 0]])
-    upper = max(min(_row_col_bound(m), split_bound(m)), lower)
+    upper = max(caps[upper_by], lower)
     x = y = np.full(k, k ** -0.5)
+    best = None  # (x, y, U, V*) of the step that set the lower end
     steps = 0
     while steps < _MAX_STEPS and upper - lower > rel_gap * upper:
         steps += 1
@@ -135,14 +211,23 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
         root = np.sqrt(s)
         r = (u * root) / x[:, None]
         c = (root[:, None] * vh) / y[None, :]
-        rows = np.linalg.norm(r, axis=1)
-        cols = np.linalg.norm(c, axis=0)
+        bound, rows, cols = _factor_bound(m, r, c)
         trace = float(s.sum())
-        upper = min(upper, float(rows.max() * cols.max()) + _row_col_bound(m - r @ c))
-        lower = max(lower, min(trace, upper))
+        if bound < upper:
+            upper, upper_by = bound, (r, c)
+        if min(trace, upper) > lower:
+            lower, best = min(trace, upper), (x, y, u, vh)
         x = _reweigh(x, rows, trace)
         y = _reweigh(y, cols, trace)
-    return NormEstimate(lower, upper, "haagerup-certificate", iterations=steps)
+    if best is None:
+        i, j = divmod(int(np.abs(m).argmax()), k)
+        eye = np.eye(k)
+        lower_by = (eye[i], eye[j], np.roll(eye, j - i, axis=1))
+    else:
+        bx, by, u, vh = best
+        lower_by = (bx, by, np.conj(u @ vh))
+    return NormEstimate(lower, upper, "haagerup-certificate", iterations=steps,
+                        lower_witness=lower_by, upper_witness=upper_by)
 
 
 def superop_norm_lb(phi, dim: int | None = None, seed: int = 0) -> float:

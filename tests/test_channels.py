@@ -269,6 +269,13 @@ def test_closed_form_delta_compress_matches_generic_branch(d, k, members):
     assert generic.composed is None
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_delta_compress_rejects_an_ensemble_of_empty_members(d):
+    phi = MixedUnitaryEnsemble([1.0], np.zeros((1, 0, 0)))
+    with pytest.raises(ShapeMismatch, match="non-empty"):
+        delta_compress(phi, d, 0)
+
+
 def test_weyl_sandwich_orders_members_by_input_then_weyl_pair():
     d, k = 2, 2
     rng = rng_from_seed(41)

@@ -11,6 +11,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+import mufact
+import mufact.cli as cli
+import mufact.norms as norms
 from mufact import choi_of, fileio
 from mufact.cli import build_parser, main
 
@@ -219,6 +222,38 @@ def test_norms_cli_on_a_correlation_symbol(tmp_path):
     assert printed["cb_lower"] == pytest.approx(1.0, abs=1e-9)
     assert printed["cb_upper"] - printed["cb_lower"] <= 1e-4 * printed["cb_upper"]
     assert printed["superop_lb"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_norms_reads_superop_lb_off_the_bracket_witness(tmp_path, monkeypatch):
+    calls = []
+    real = norms.superop_norm_lb
+    for module in (mufact, norms, cli):
+        if getattr(module, "superop_norm_lb", None) is real:
+            monkeypatch.setattr(module, "superop_norm_lb",
+                                lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    z = np.random.default_rng(7).standard_normal((4, 4))
+    a = str(tmp_path / "a.json")
+    fileio.save_matrix(a, z + 1j * z.T)
+    rc, out, _ = run(["norms", "--A", a])
+    assert rc == 0 and calls == []
+    printed = json.loads(out)
+    # the report rounds to 12 significant digits
+    lo, up = printed["cb_lower"], printed["cb_upper"]
+    assert lo * (1.0 - 1e-11) <= printed["superop_lb"] <= up * (1.0 + 1e-11)
+
+
+def test_norms_results_do_not_depend_on_the_seed(tmp_path):
+    z = np.random.default_rng(8).standard_normal((3, 3))
+    a = str(tmp_path / "a.json")
+    fileio.save_matrix(a, z - 2j * z.T)
+    results = []
+    for seed in ("0", "12345"):
+        rep = str(tmp_path / f"norms{seed}.json")
+        assert run(["norms", "--A", a, "--seed", seed, "--out", rep])[0] == 0
+        report = fileio.load_json(rep)
+        assert report["seed"] == int(seed)
+        results.append(json.dumps(report["results"], sort_keys=True))
+    assert results[0] == results[1]
 
 
 def test_norms_rejects_non_square_symbol(tmp_path):

@@ -1,5 +1,7 @@
 """Unit tests for Schur multiplier norm brackets and the superoperator bound."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,75 @@ def test_every_svd_of_the_bracket_is_a_certificate_step(monkeypatch, symbol):
     est = schur_cb_norm(a)
     assert len(calls) == est.iterations
     assert (est.iterations > 0) == (symbol == "indefinite")
+
+
+def _witness_symbols(family):
+    """Acceptance 10's PSD or Hermitian symbols, or complex k = 2-6 ones."""
+    for s in range(50):
+        if family == "psd":
+            rng = rng_from_seed(s)
+            k = int(rng.integers(2, 7))
+            scale = abs(rng.normal()) + 0.5
+            yield scale * random_correlation(k, rng)
+            continue
+        rng = rng_from_seed(100 + s) if family == "hermitian" else np.random.default_rng(900 + s)
+        k = int(rng.integers(2, 7))
+        z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        yield 0.5 * (z + z.conj().T) if family == "hermitian" else z
+
+
+@pytest.mark.parametrize("family", ["psd", "hermitian", "complex"])
+def test_witnesses_reproduce_both_ends_and_bound_the_operator_norm(family):
+    for a in _witness_symbols(family):
+        est = schur_cb_norm(a)
+        est.check(a)
+        x, y, w = est.lower_witness
+        assert x.min() >= 0.0 and y.min() >= 0.0
+        # ||A o w|| >= |x^T (A o w) y| = lower; rounding can put it an ulp under
+        assert est.lower * (1.0 - 1e-12) <= est.witness_norm(a) <= est.upper
+        if family == "psd":
+            # no step runs, so max|a_ij| and a closed-form cap are the witnesses
+            assert est.iterations == 0 and isinstance(est.upper_witness, str)
+
+
+def test_a_tampered_witness_fails_check():
+    a = _residual(12)
+    est = schur_cb_norm(a)
+    est.check(a)
+    x, y, w = est.lower_witness
+    r, c = est.upper_witness
+    scaled = replace(est, lower_witness=(x, y, 1.01 * w))
+    with pytest.raises(MufactError, match="unitary"):
+        scaled.check(a)
+    nudged = r.copy()
+    nudged[0, 0] += 1e-6 * np.abs(r).max()
+    with pytest.raises(MufactError, match="upper end"):
+        replace(est, upper_witness=(nudged, c)).check(a)
+    with pytest.raises(MufactError, match="lower end"):
+        replace(est, lower=0.99 * est.lower).check(a)
+    with pytest.raises(MufactError, match="upper end"):
+        replace(est, upper_witness="split" if est.upper_witness == "row-col" else "row-col").check(a)
+
+
+def test_the_entry_witness_is_a_cyclic_shift_at_the_largest_entry():
+    a = np.array([[0.5, 0.1, 0.0], [0.2, 0.3, -2.0j], [1.0, 0.0, 0.4]])
+    est = schur_cb_norm(a)
+    est.check(a)
+    x, y, w = est.lower_witness
+    assert est.lower == 2.0
+    assert x.tolist() == [0.0, 1.0, 0.0] and y.tolist() == [0.0, 0.0, 1.0]
+    assert w.tolist() == np.roll(np.eye(3), 1, axis=1).tolist()
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (0, 0)])
+def test_a_zero_symbol_has_no_witness_and_passes_check(shape):
+    z = np.zeros(shape)
+    est = schur_cb_norm(z)
+    assert est.lower_witness is None and est.upper_witness is None
+    est.check(z)
+    assert est.witness_norm(z) == 0.0
+    with pytest.raises(MufactError, match="zero symbol"):
+        est.check(np.eye(3))
 
 
 def test_cb_bracket_contains_max_diagonal_for_psd():
