@@ -31,7 +31,8 @@ from .channels import UNITARY_TOL, choi_of, to_blocks
 _MAX_STEPS = 4000
 # least certificate weight: at 1e-12 rounding in RC swamps the E term
 _FLOOR = 1e-4
-# drift, relative to the upper end, that NormEstimate.check allows
+# drift that NormEstimate.check allows: in the ends, relative to the upper
+# end, and in the weights' unit norms
 WITNESS_TOL = 1e-12
 # seeded Haar starts, and ascent steps per start, of superop_norm_lb
 _SUPEROP_STARTS = 4
@@ -74,12 +75,13 @@ class NormEstimate:
             return 0.0
         return op_norm(as_matrix(a) * self.lower_witness[2])
 
-    def check(self, a, tol: float = WITNESS_TOL) -> None:
+    def check(self, a) -> None:
         """Recompute both ends of a's bracket from the witnesses.
 
-        Raises MufactError unless the weights are unit and nonnegative, w
-        is unitary within UNITARY_TOL, and both recomputed ends are within
-        tol * upper of the reported ones.
+        Raises MufactError unless the witnesses fit a's size, the weights
+        are nonnegative with norm 1 within WITNESS_TOL, w is unitary within
+        UNITARY_TOL, a named cap is one of the closed-form caps, and both
+        recomputed ends are within WITNESS_TOL * upper of the reported ones.
         """
         m = as_matrix(a)
         if self.lower_witness is None or self.upper_witness is None:
@@ -87,8 +89,20 @@ class NormEstimate:
                 return
             raise MufactError("only a zero symbol's bracket may lack witnesses")
         x, y, w = self.lower_witness
+        k = m.shape[0]
+        fits = m.shape == (k, k) and np.shape(x) == np.shape(y) == (k,) and np.shape(w) == (k, k)
+        if isinstance(self.upper_witness, str):
+            if self.upper_witness not in _CAPS:
+                raise MufactError(f"unknown upper-end cap {self.upper_witness!r}")
+        else:
+            r, c = self.upper_witness
+            fits = fits and np.ndim(r) == np.ndim(c) == 2 and (
+                np.shape(r)[0] == np.shape(c)[1] == k and np.shape(r)[1] == np.shape(c)[0]
+            )
+        if not fits:
+            raise MufactError(f"the witnesses do not fit a symbol of shape {m.shape}")
         for v in (x, y):
-            if v.min() < 0.0 or abs(np.linalg.norm(v) - 1.0) > tol:
+            if v.min() < 0.0 or abs(np.linalg.norm(v) - 1.0) > WITNESS_TOL:
                 raise MufactError("lower-end weights are not unit and nonnegative")
         if unitarity_defects(w) > UNITARY_TOL:
             raise MufactError("lower-end witness is not unitary")
@@ -96,9 +110,9 @@ class NormEstimate:
         if isinstance(self.upper_witness, str):
             upper = _CAPS[self.upper_witness](m)
         else:
-            upper = _factor_bound(m, *self.upper_witness)[0]
+            upper = _factor_bound(m, r, c)[0]
         for end, fresh, given in (("lower", lower, self.lower), ("upper", upper, self.upper)):
-            if abs(fresh - given) > tol * self.upper:
+            if abs(fresh - given) > WITNESS_TOL * self.upper:
                 raise MufactError(f"{end} end {given!r} does not reproduce: witness gives {fresh!r}")
 
 

@@ -195,6 +195,13 @@ def test_a_tampered_witness_fails_check():
         replace(est, lower=0.99 * est.lower).check(a)
     with pytest.raises(MufactError, match="upper end"):
         replace(est, upper_witness="split" if est.upper_witness == "row-col" else "row-col").check(a)
+    with pytest.raises(MufactError, match="unknown upper-end cap"):
+        replace(est, upper_witness="trace").check(a)
+    for other in (a[:-1, :-1], np.pad(a, ((0, 1), (0, 1))), a[:, :-1]):
+        with pytest.raises(MufactError, match="do not fit"):
+            est.check(other)
+    with pytest.raises(MufactError, match="do not fit"):
+        replace(est, upper_witness=(r[:, :-1], c)).check(a)
 
 
 def test_the_entry_witness_is_a_cyclic_shift_at_the_largest_entry():
