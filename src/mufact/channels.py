@@ -147,7 +147,7 @@ class ChoiMatrix:
     def cp_check(self) -> tuple[float, bool]:
         """CP residual (the most negative eigenvalue's size, 0 when PSD), and
         whether it is within CHANNEL_TOL * (1 + ||Choi||_F)."""
-        res = float(max(0.0, -herm_eig(self.matrix).values.min()))
+        res = float(max(0.0, -herm_eig(self.matrix).values.min(initial=0.0)))
         return res, res <= CHANNEL_TOL * (1.0 + frob(self.matrix))
 
 
@@ -238,8 +238,12 @@ class DeltaCompression:
     mixed-unitary ensemble, the composed ensemble realising the lifted map."""
 
     choi: ChoiMatrix
-    channel: KrausChannel
     ensemble: MixedUnitaryEnsemble | None = field(default=None, repr=False)
+
+    @cached_property
+    def channel(self) -> KrausChannel:
+        """Kraus form of the compressed map (kraus_from_choi), built on first access."""
+        return kraus_from_choi(self.choi)
 
     @cached_property
     def composed(self) -> MixedUnitaryEnsemble | None:
@@ -429,8 +433,8 @@ def delta_compress(phi, d: int, k: int) -> DeltaCompression:
     T(B)_ij = tr_d( Phi(I_d (x) B)_ij ). For a mixed-unitary ensemble T is
     the Kraus sum over (m, r, s) of weight p_m / d whose operator holds
     entry (r, s) of every d x d block of U_m, so its Choi matrix is one Gram
-    product. The result's `composed` ensemble, which realises the lifted map
-    of T, is built on first access.
+    product. The result's Kraus `channel` and its `composed` ensemble, which
+    realises the lifted map of T, are built on first access.
     """
     apply, n = _as_apply(phi, d * k)
     if n != d * k:
@@ -441,9 +445,8 @@ def delta_compress(phi, d: int, k: int) -> DeltaCompression:
         ops = phi.unitaries.reshape(-1, k, d, k, d).transpose(0, 2, 4, 1, 3)
         weights = np.repeat(phi.weights / d, d * d)
         choi = ChoiMatrix(_gram_choi(weights, ops.reshape(-1, k, k)), k)
-        return DeltaCompression(choi, kraus_from_choi(choi), ensemble=phi)
-    choi = choi_of(lambda b: compress(apply(embed(b, d)), d, k), k)
-    return DeltaCompression(choi, kraus_from_choi(choi))
+        return DeltaCompression(choi, ensemble=phi)
+    return DeltaCompression(choi_of(lambda b: compress(apply(embed(b, d)), d, k), k))
 
 
 # ---------------------------------------------------------------------------

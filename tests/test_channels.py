@@ -180,6 +180,15 @@ def test_verify_channel_residuals_of_a_doubling_map():
     assert rep.unital_residual == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
+def test_a_map_on_empty_matrices_is_a_trivial_channel():
+    # a 0x0 Choi matrix, given as it is or through an ensemble of 0x0 members
+    for t in (ChoiMatrix(np.zeros((0, 0)), 0), MixedUnitaryEnsemble([1.0], np.zeros((1, 0, 0)))):
+        rep = verify_channel(t)
+        assert rep.dim == 0 and rep.cp and rep.tp and rep.unital
+        assert (rep.cp_residual, rep.tp_residual, rep.unital_residual) == (0.0, 0.0, 0.0)
+        assert d_biaverage(t).shape == (0, 0)
+
+
 def test_ensemble_check_rejects_bad_weights_and_members():
     u = weyl_unitaries(2)
     with pytest.raises(MufactError):
@@ -300,7 +309,8 @@ def test_correction_pipeline_leaves_composed_unbuilt(monkeypatch):
     monkeypatch.setattr(factorise, "delta_compress", recording)
     ens = random_tuple_ensemble(3, 2, 2, rng_from_seed(95))
     factorise.correction_pipeline(ens.gram_average(), mu_ensemble_from_tuples(ens), 0.1, 2)
-    assert len(made) == 1 and "composed" not in made[0].__dict__
+    assert len(made) == 1
+    assert "composed" not in made[0].__dict__ and "channel" not in made[0].__dict__
 
 
 # ---------------------------------------------------------------------------

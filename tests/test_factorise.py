@@ -14,6 +14,7 @@ from mufact import (
     ShapeMismatch,
     UnitaryTuple,
     UnitaryTupleEnsemble,
+    choi_of,
     correction_pipeline,
     dist_upper_bound,
     gram_matrix,
@@ -28,6 +29,7 @@ from mufact import (
     tuples_from_ensemble,
     verify_certificate,
 )
+from mufact.linalg import unitarity_defects
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +132,8 @@ def test_extract_rejects_wrong_target():
 
 
 def test_extract_rejects_non_block_diagonal_member():
-    # a full unitary hiding behind a tiny weight passes the action check at
-    # a loose tolerance but still has O(1) off-diagonal blocks
+    # a full unitary hiding behind a tiny weight has O(1) off-diagonal
+    # blocks, which the block check rejects before the action is checked
     ens = random_tuple_ensemble(2, 2, 2, rng_from_seed(38))
     c = ens.gram_average()
     mu = mu_ensemble_from_tuples(ens)
@@ -143,6 +145,87 @@ def test_extract_rejects_non_block_diagonal_member():
     )
     with pytest.raises(NotBlockDiagonal):
         tuples_from_ensemble(spiked, c, 2, 2, tol=1e-3)
+
+
+def test_extract_rejects_unitary_blocks_without_the_weyl_sandwich():
+    # members (+)_i U_i* of weight p_m: block diagonal with unitary blocks
+    # whose normalised traces average to c, yet block (i, j) is sent to
+    # sum_m p_m U_i* X U_j, not c_ij tr_d(X) I_d
+    ens = random_tuple_ensemble(3, 2, 3, rng_from_seed(47))
+    members = np.zeros((ens.size, 6, 6), dtype=complex)
+    to_blocks(members, 2, 3)[:, range(3), range(3)] = np.conj(ens.tuples.swapaxes(-1, -2))
+    bare = MixedUnitaryEnsemble(ens.weights, members)
+    with pytest.raises(NotAFactorisation):
+        tuples_from_ensemble(bare, ens.gram_average(), 2, 3)
+
+
+def _full_choi_deviations(ensemble, c, d, k):
+    """Reference for extract's checks, with the action compared on the full
+    (dk)^2 matrix-unit basis: the action, off-diagonal block and diagonal
+    block unitarity deviations, and the tuples read off the blocks."""
+    ensemble.check()
+    got = choi_of(ensemble).matrix
+    want = choi_of(lambda x: lift_schur(c, d, x), d * k).matrix
+    blocks = to_blocks(ensemble.unitaries, d, k)
+    off = blocks.copy()
+    off[:, range(k), range(k)] = 0.0
+    diag = blocks[:, range(k), range(k)]
+    deviations = (
+        np.abs(got - want).max(),
+        np.abs(off).max(initial=0.0),
+        unitarity_defects(diag).max(initial=0.0),
+    )
+    return deviations, np.conj(diag.transpose(0, 1, 3, 2))
+
+
+def test_extract_accepts_what_the_full_choi_check_accepts():
+    outcomes = set()
+    for s in range(50):  # the instances of acceptance criterion 3
+        rng = rng_from_seed(200 + s)
+        d = int(rng.integers(1, 4))
+        k = int(rng.integers(2, 5))
+        ens = random_tuple_ensemble(k, d, int(rng.integers(1, 4)), rng)
+        c = ens.gram_average()
+        mu = mu_ensemble_from_tuples(ens)
+        c_off = c.copy()
+        c_off[0, 1] += 1e-6
+        c_off[1, 0] += 1e-6
+        scaled = mu.unitaries.copy()
+        scaled[0, :d, :d] *= 1.0 + 1e-6
+        rogue = random_haar_unitary(d * k, rng_from_seed(300 + s))
+        variants = [
+            (mu, c),
+            (mu, c_off),
+            (MixedUnitaryEnsemble(mu.weights, scaled), c),
+            (MixedUnitaryEnsemble(
+                np.append(mu.weights * (1.0 - 1e-6), 1e-6),
+                np.concatenate([mu.unitaries, rogue[None]]),
+            ), c),
+        ]
+        for phi, target in variants:
+            try:
+                deviations, ref = _full_choi_deviations(phi, target, d, k)
+            except NotUnitary:
+                deviations, ref = (np.inf,), None
+            for tol in (1e-9, 1e-5):
+                accepted = max(deviations) <= tol
+                outcomes.add(accepted)
+                if accepted:
+                    rec = tuples_from_ensemble(phi, target, d, k, tol=tol)
+                    assert np.array_equal(rec.tuples, ref)
+                    assert np.array_equal(rec.weights, phi.weights)
+                else:
+                    with pytest.raises((NotAFactorisation, NotBlockDiagonal, NotUnitary)):
+                        tuples_from_ensemble(phi, target, d, k, tol=tol)
+    assert outcomes == {True, False}
+
+
+def test_extract_round_trips_the_ensemble_of_empty_tuples():
+    ens = UnitaryTupleEnsemble([1.0], np.zeros((1, 0, 2, 2)))
+    rec = tuples_from_ensemble(mu_ensemble_from_tuples(ens), np.zeros((0, 0)), 2, 0)
+    assert rec.tuples.shape == (16, 0, 2, 2)
+    assert np.array_equal(rec.weights, np.full(16, 1.0 / 16))
+    assert rec.check().gram_average().shape == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -533,4 +616,3 @@ def test_dist_bound_planted_and_monotone_under_doubling():
     assert b2.certificate.ensemble.d == 2
     verify_certificate(b2.certificate)
     assert b2.cb.lower <= b2.cb.upper
-    assert b2.split >= 0.0
