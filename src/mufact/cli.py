@@ -303,7 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", required=True)
     p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--tol", type=_positive_float, default=1e-9)
+    p.add_argument("--tol", type=_positive_float, default=1e-9,
+                   help="tolerance of the block and action checks; ensemble members are "
+                        "first held to UNITARY_TOL (1e-10) whatever its value")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_extract)
 

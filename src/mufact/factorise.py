@@ -10,6 +10,8 @@ representations of a given correlation matrix.
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +49,8 @@ GRAM_RECOMPUTE_TOL = 1e-12
 DILATION_TOL = 1e-9
 # largest entry gap between correction_pipeline's two routes to c_tilde
 BIAVERAGE_CROSSCHECK_TOL = 1e-9
+# recent dist_upper_bound results kept: one target's walk from d = 1 to 128
+DIST_MEMO_SIZE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +668,8 @@ def membership_solve(
     k = target.shape[0]
     if target.shape != (k, k):
         raise ShapeMismatch("target must be square")
+    if d < 1:
+        raise MufactError(f"the tuple dimension d must be at least 1, got {d}")
     m_cnt = atoms if atoms is not None else k * k + 1
     if m_cnt < 1:
         raise MufactError("at least one atom is required")
@@ -712,11 +718,30 @@ def dist_upper_bound(
     the best certificate from d/2 with every tuple entry embedded as
     U + U block diagonally. The embedded candidate achieves the identical
     Gram average, so the bound can never increase along d -> 2d.
+
+    The last DIST_MEMO_SIZE bounds, the rungs d/2, d/4, ... included, are
+    memoised by their exact inputs: the bytes and shape of c and every
+    other argument. So walking d = 1, 2, 4, ... on one target runs each
+    search once. A hit returns a deep copy that is bit for bit what a cold
+    call returns, and shares no array with the memo or with c.
     """
+    if d < 1:
+        raise MufactError(f"the tuple dimension d must be at least 1, got {d}")
     target = as_matrix(c)
-    solver = dict(atoms=atoms, restarts=restarts, max_iters=max_iters, tol=tol, seed=seed)
-    sub = dist_upper_bound(target, d // 2, **solver) if d % 2 == 0 else None
-    fresh = membership_solve(target, d, **solver)
+    bound = _bound(target.shape, target.tobytes(), d, atoms, restarts, max_iters, tol, seed)
+    return copy.deepcopy(bound)
+
+
+# typed: d=2.0 is not d=2, since a cold call would fail on it
+@functools.lru_cache(maxsize=DIST_MEMO_SIZE, typed=True)
+def _bound(shape, data, d, atoms, restarts, max_iters, tol, seed) -> DistanceBound:
+    # entries share arrays between rungs and are never mutated (target is a
+    # read-only view of the key); callers get deep copies
+    target = np.frombuffer(data, complex).reshape(shape)
+    solver = (atoms, restarts, max_iters, tol, seed)
+    # positional, as in dist_upper_bound: lru_cache keys keyword calls apart
+    sub = _bound(shape, data, d // 2, *solver) if d % 2 == 0 else None
+    fresh = membership_solve(target, d, *solver)
     cb = schur_cb_norm(target - fresh.achieved)
     # the fresh search must beat the embedded certificate: a tie keeps the latter
     if sub is None or cb.upper < sub.value:
@@ -727,8 +752,8 @@ def dist_upper_bound(
     lifted[:, :, :half, :half] = small.tuples
     lifted[:, :, half:, half:] = small.tuples
     cert = GramCertificate(
-        ensemble=UnitaryTupleEnsemble(small.weights.copy(), lifted),
-        achieved=sub.certificate.achieved.copy(),
+        ensemble=UnitaryTupleEnsemble(small.weights, lifted),
+        achieved=sub.certificate.achieved,
         target=target,
         residual_fro=sub.certificate.residual_fro,
         residual_max=sub.certificate.residual_max,

@@ -616,3 +616,92 @@ def test_dist_bound_planted_and_monotone_under_doubling():
     assert b2.certificate.ensemble.d == 2
     verify_certificate(b2.certificate)
     assert b2.cb.lower <= b2.cb.upper
+
+
+@pytest.mark.parametrize("d", [0, -1])
+@pytest.mark.parametrize("solve", [membership_solve, dist_upper_bound])
+def test_a_tuple_dimension_below_one_is_rejected(solve, d):
+    with pytest.raises(MufactError, match="at least 1"):
+        solve(np.eye(2), d, atoms=2, restarts=1, max_iters=5)
+
+
+# a cheap search on a planted d=2 target, as in the distance bench's warm-up
+MEMO_SOLVER = dict(atoms=2, restarts=1, max_iters=5, tol=1e-6, seed=3)
+
+
+def _memo_target():
+    return random_tuple_ensemble(3, 2, 2, rng_from_seed(47)).gram_average()
+
+
+def _bound_bytes(b):
+    cert = b.certificate
+    return (b.d, b.value, b.cb.lower, b.cb.upper, cert.ensemble.weights.tobytes(),
+            cert.ensemble.tuples.tobytes(), cert.achieved.tobytes(), cert.target.tobytes())
+
+
+def _counting_membership(monkeypatch):
+    from mufact import factorise
+
+    factorise._bound.cache_clear()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return membership_solve(*args, **kwargs)
+
+    monkeypatch.setattr(factorise, "membership_solve", counted)
+    return calls
+
+
+def test_walking_the_doubling_ladder_runs_each_search_once(monkeypatch):
+    calls = _counting_membership(monkeypatch)
+    c = _memo_target()
+    bounds = [dist_upper_bound(c, d, **MEMO_SOLVER) for d in (1, 2, 4)]
+    assert calls == [1, 2, 4]
+    assert bounds[2].value <= bounds[1].value <= bounds[0].value
+
+
+def test_a_memo_hit_is_bit_identical_to_a_cold_call():
+    from mufact.factorise import _bound
+
+    c = _memo_target()
+    _bound.cache_clear()
+    dist_upper_bound(c, 1, **MEMO_SOLVER)
+    warm = dist_upper_bound(c, 2, **MEMO_SOLVER)
+    again = dist_upper_bound(c, 2, **MEMO_SOLVER)
+    _bound.cache_clear()
+    cold = dist_upper_bound(c, 2, **MEMO_SOLVER)
+    assert _bound_bytes(warm) == _bound_bytes(cold) == _bound_bytes(again)
+    assert warm.cb.iterations == cold.cb.iterations
+    assert warm.certificate.residual_fro == cold.certificate.residual_fro
+
+
+def test_mutating_a_returned_bound_leaves_the_memo_intact():
+    c = _memo_target()
+    before = _bound_bytes(dist_upper_bound(c, 2, **MEMO_SOLVER))
+    b = dist_upper_bound(c, 2, **MEMO_SOLVER)
+    cert = b.certificate
+    witnesses = [*b.cb.lower_witness, *b.cb.upper_witness]
+    for a in [cert.ensemble.weights, cert.ensemble.tuples, cert.achieved, cert.target,
+              *witnesses]:
+        a *= 2.0
+    assert (c == _memo_target()).all()  # cert.target is a copy, not the caller's c
+    assert _bound_bytes(dist_upper_bound(c, 2, **MEMO_SOLVER)) == before
+    assert len(witnesses) == 5 and all(isinstance(a, np.ndarray) for a in witnesses)
+
+
+@pytest.mark.parametrize("change", ["seed", "tol", "one ulp"])
+def test_any_change_of_input_misses_the_memo(monkeypatch, change):
+    calls = _counting_membership(monkeypatch)
+    c = _memo_target()
+    dist_upper_bound(c, 1, **MEMO_SOLVER)
+    solver = dict(MEMO_SOLVER)
+    if change == "seed":
+        solver["seed"] += 1
+    elif change == "tol":
+        solver["tol"] = float(np.nextafter(solver["tol"], 1.0))  # a float still
+    else:
+        c[0, 1] = np.nextafter(c[0, 1].real, 2.0) + 1j * c[0, 1].imag
+    dist_upper_bound(c, 1, **solver)
+    dist_upper_bound(c, 1, **solver)
+    assert calls == [1, 1]
