@@ -27,8 +27,7 @@ from .errors import (
 from .linalg import (
     as_matrix,
     frob,
-    polar,
-    random_haar_unitary,
+    random_haar_unitaries,
     rng_from_seed,
     svd,
     unitarity_defects,
@@ -140,18 +139,10 @@ def gram_matrix(t) -> np.ndarray:
     return _grams(u)
 
 
-def _haar_tuples(m: int, k: int, d: int, rng) -> np.ndarray:
-    """(m, k, d, d) stack of Haar unitaries, drawn tuple by tuple."""
-    out = np.empty((m, k, d, d), dtype=complex)
-    for idx in np.ndindex(m, k):
-        out[idx] = random_haar_unitary(d, rng)
-    return out
-
-
 def random_tuple_ensemble(k: int, d: int, atoms: int, rng) -> UnitaryTupleEnsemble:
     """Seeded ensemble of Haar tuples with Dirichlet weights."""
     weights = rng.dirichlet(np.ones(atoms))
-    return UnitaryTupleEnsemble(weights, _haar_tuples(atoms, k, d, rng)).check()
+    return UnitaryTupleEnsemble(weights, random_haar_unitaries((atoms, k), d, rng)).check()
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +391,7 @@ def _weight_update(p, grams, target):
         while True:
             n = len(support)
             kkt = np.ones((n + 1, n + 1))
-            kkt[:n, :n] = q[np.ix_(support, support)]
+            kkt[:n, :n] = q[support[:, None], support]
             kkt[n, n] = 0.0
             rhs = np.zeros(n + 1)
             rhs[n] = 1.0
@@ -429,39 +420,40 @@ def _atom_sweep(p, atoms, grams, resid):
 
     For entry i of atom m the misfit is, up to a constant, the squared row
     2 * sum_j |p_m tr_d(U* V_j) + r_j|^2 with r_j the residual excluding
-    this atom. Its linear part is minimised by U = -polar(Z) with
-    Z = sum_{j != i} conj(r_j) V_j; candidates are kept only when the exact
-    misfit decreases.
+    this atom. Its linear part is minimised by U = -P Q*, minus the unitary
+    polar factor of Z = P S Q* = sum_{j != i} conj(r_j) V_j. Candidates are
+    kept only if the exact misfit drops; a Z of norm 0, inf or nan is skipped.
     """
     m_cnt, k, d = atoms.shape[0], atoms.shape[1], atoms.shape[2]
     for m in range(m_cnt):
         pm = p[m]
         if pm <= 0.0:
             continue
-        flat = atoms[m].reshape(k, d * d)
+        flat, gm = atoms[m].reshape(k, d * d), grams[m]
         for i in range(k):
-            r = resid[i, :] - pm * grams[m, i, :]
+            old_r = resid[i]
+            r = old_r - pm * gm[i]
             rr = np.conj(r)
             rr[i] = 0.0
             z = (rr @ flat).reshape(d, d)
-            if not np.isfinite(z).all() or frob(z) < 1e-300:
+            if not 1e-300 <= frob(z) < np.inf:
                 continue
             if d == 1:
                 cand = -z / abs(z[0, 0])
             else:
-                cand = -polar(z).unitary_factor
+                pz, _, qz = np.linalg.svd(z)
+                cand = -(pz @ qz)
             row = (flat @ np.conj(cand).ravel()) / d
             row[i] = 1.0  # tr_d(cand* cand), exact by unitarity
             new_r = r + pm * row
-            old_r = resid[i, :]
             delta = np.abs(new_r) ** 2 - np.abs(old_r) ** 2
             delta[i] = 0.0
-            if 2.0 * float(delta.sum()) < 0.0:
+            if delta.sum() < 0.0:  # the misfit changes by 2 * delta.sum()
                 atoms[m, i] = cand
-                flat[i] = cand.ravel()
-                grams[m, i, :] = row
-                grams[m, :, i] = np.conj(row)
-                resid[i, :] = new_r
+                flat[i] = cand.ravel()  # flat is a copy if atoms[m] is not contiguous
+                gm[i] = row
+                gm[:, i] = np.conj(row)
+                resid[i] = new_r
                 resid[:, i] = np.conj(new_r)
     return atoms, grams, resid
 
@@ -540,16 +532,13 @@ def _gn_polish(p, atoms, target, d: int, tol: float, iters: int = 60):
             s = q.sum()
             if s > 0.0:
                 q = q / s
-                th = step[m_cnt:].reshape(m_cnt, k, nb)
-                h = np.tensordot(th.real, basis, axes=(2, 0))
+                h = (step[m_cnt:].reshape(-1, nb) @ basis.reshape(nb, nb)).reshape(m_cnt, k, d, d)
                 if d == 1:
                     turned = np.exp(1j * h.real) * atoms
                 else:
                     vals, vecs = np.linalg.eigh(h)
-                    expo = (vecs * np.exp(1j * vals)[..., None, :]) @ np.conj(
-                        np.swapaxes(vecs, -1, -2)
-                    )
-                    turned = expo @ atoms
+                    expo = vecs * np.exp(1j * vals)[..., None, :]
+                    turned = expo @ np.conj(np.swapaxes(vecs, -1, -2)) @ atoms
                 new_atoms = np.where(live[:, None, None, None], turned, atoms)
                 new_grams = _grams(new_atoms)
                 new_ach = np.einsum("m,mij->ij", q, new_grams)
@@ -620,7 +609,7 @@ def _polish_escape(f, p, atoms, grams, target, d: int, tol: float):
 
 
 def _solve_single(target, d: int, m_cnt: int, max_iters: int, tol: float, rng):
-    atoms = _haar_tuples(m_cnt, target.shape[0], d, rng)
+    atoms = random_haar_unitaries((m_cnt, target.shape[0]), d, rng)
     p = np.full(m_cnt, 1.0 / m_cnt)
     grams = _grams(atoms)
     resid = np.einsum("m,mij->ij", p, grams) - target
@@ -645,6 +634,16 @@ def _solve_single(target, d: int, m_cnt: int, max_iters: int, tol: float, rng):
     return f, p, atoms
 
 
+def _check_counts(d, atoms, restarts, max_iters) -> None:
+    """MufactError unless each count is an int or np.integer (no bool) at its floor."""
+    for name, value, floor in (("d", d, 1), ("atoms", 1 if atoms is None else atoms, 1),
+                               ("restarts", restarts, 1), ("max_iters", max_iters, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise MufactError(f"{name} must be an integer, got {value!r}")
+        if value < floor:
+            raise MufactError(f"{name} must be at least {floor}, got {value}")
+
+
 def membership_solve(
     c,
     d: int,
@@ -664,17 +663,12 @@ def membership_solve(
     its own stream rng_from_seed(seed, (r,)), so its run does not depend on
     the others.
     """
+    _check_counts(d, atoms, restarts, max_iters)
     target = as_matrix(c)
     k = target.shape[0]
     if target.shape != (k, k):
         raise ShapeMismatch("target must be square")
-    if d < 1:
-        raise MufactError(f"the tuple dimension d must be at least 1, got {d}")
     m_cnt = atoms if atoms is not None else k * k + 1
-    if m_cnt < 1:
-        raise MufactError("at least one atom is required")
-    if restarts < 1:
-        raise MufactError("at least one restart is required")
     best = None
     for r in range(restarts):
         res = _solve_single(target, d, m_cnt, max_iters, tol, rng_from_seed(seed, (r,)))
@@ -725,14 +719,13 @@ def dist_upper_bound(
     search once. A hit returns a deep copy that is bit for bit what a cold
     call returns, and shares no array with the memo or with c.
     """
-    if d < 1:
-        raise MufactError(f"the tuple dimension d must be at least 1, got {d}")
+    _check_counts(d, atoms, restarts, max_iters)
     target = as_matrix(c)
     bound = _bound(target.shape, target.tobytes(), d, atoms, restarts, max_iters, tol, seed)
     return copy.deepcopy(bound)
 
 
-# typed: d=2.0 is not d=2, since a cold call would fail on it
+# typed: a hit returns d as the type it was given (np.int64(2) is not 2)
 @functools.lru_cache(maxsize=DIST_MEMO_SIZE, typed=True)
 def _bound(shape, data, d, atoms, restarts, max_iters, tol, seed) -> DistanceBound:
     # entries share arrays between rungs and are never mutated (target is a

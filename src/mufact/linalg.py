@@ -145,17 +145,24 @@ def rng_from_seed(seed: Seed, key: tuple[int, ...] = ()) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def random_haar_unitary(d: int, rng: np.random.Generator) -> ComplexMatrix:
-    """Haar-distributed d x d unitary.
+def random_haar_unitaries(shape: tuple[int, ...], d: int, rng: np.random.Generator) -> np.ndarray:
+    """(*shape, d, d) stack of Haar-distributed d x d unitaries.
 
-    QR of a complex Ginibre matrix, with the R diagonal phase-normalised so
+    QR of complex Ginibre matrices, with the R diagonal phase-normalised so
     the distribution is exactly Haar rather than QR-convention dependent.
+    One normal draw fills the stack in index order, real part then imaginary
+    part per matrix, so a stack of n equals n single draws, bit for bit.
     """
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r).copy()
+    g = rng.standard_normal((*shape, 2, d, d))
+    q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def random_haar_unitary(d: int, rng: np.random.Generator) -> ComplexMatrix:
+    """Haar-distributed d x d unitary: random_haar_unitaries of shape ()."""
+    return random_haar_unitaries((), d, rng)
 
 
 def random_correlation(k: int, rng: np.random.Generator) -> ComplexMatrix:

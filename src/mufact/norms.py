@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MufactError, NotPSD
-from .linalg import as_matrix, dagger, herm_eig, op_norm, polar, random_haar_unitary, rng_from_seed
-from .linalg import below_psd_floor, unitarity_defects
+from .linalg import as_matrix, dagger, herm_eig, op_norm, polar, rng_from_seed
+from .linalg import below_psd_floor, random_haar_unitaries, unitarity_defects
 from .channels import UNITARY_TOL, choi_of, to_blocks
 
 # certificate steps per bracket; acceptance 10's slowest symbol takes 1,473
@@ -266,7 +266,7 @@ def superop_norm_lb(phi, dim: int | None = None, seed: int = 0) -> float:
 
     inits = [np.roll(np.eye(n, dtype=complex), s, axis=0) for s in range(n)]
     rng = rng_from_seed(seed, (0xD0,))
-    inits += [random_haar_unitary(n, rng) for _ in range(_SUPEROP_STARTS)]
+    inits += [*random_haar_unitaries((_SUPEROP_STARTS,), n, rng)]
 
     best = 0.0
     for u0 in inits:

@@ -29,7 +29,7 @@ from mufact import (
     tuples_from_ensemble,
     verify_certificate,
 )
-from mufact.linalg import unitarity_defects
+from mufact.linalg import random_haar_unitaries, unitarity_defects
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +464,12 @@ def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60, solve="svd"):
 
 def _polish_case(d):
     """A k = 3 target, four atoms and weights with one atom at weight 0."""
-    from mufact.factorise import _grams, _haar_tuples
+    from mufact.factorise import _grams
 
     rng = rng_from_seed(70 + d)
     k, m_cnt = 3, 4
     target = random_tuple_ensemble(k, d, 2, rng).gram_average()
-    atoms = _haar_tuples(m_cnt, k, d, rng)
+    atoms = random_haar_unitaries((m_cnt, k), d, rng)
     p = np.array([0.4, 0.0, 0.35, 0.25])
     f0 = float(np.linalg.norm(np.einsum("m,mij->ij", p, _grams(atoms)) - target) ** 2)
     return target, atoms, p, f0
@@ -502,6 +502,90 @@ def test_svd_damped_step_matches_the_lstsq_step(d):
     assert abs(got[0] - want[0]) <= 1e-12 * want[0]
     assert np.abs(got[1] - want[1]).max() <= 1e-12 * np.abs(want[1]).max()
     assert np.abs(got[2] - want[2]).max() <= 1e-12 * np.abs(want[2]).max()
+
+
+def _atom_sweep_reference(p, atoms, grams, resid):
+    """Reference `_atom_sweep`, one entry at a time through full index
+    expressions, with `polar` for the d > 1 candidate and an explicit
+    isfinite test; also returns how many candidates it rejected."""
+    from mufact.linalg import frob, polar
+
+    rejected = 0
+    m_cnt, k, d = atoms.shape[0], atoms.shape[1], atoms.shape[2]
+    for m in range(m_cnt):
+        pm = p[m]
+        if pm <= 0.0:
+            continue
+        flat = atoms[m].reshape(k, d * d)
+        for i in range(k):
+            r = resid[i, :] - pm * grams[m, i, :]
+            rr = np.conj(r)
+            rr[i] = 0.0
+            z = (rr @ flat).reshape(d, d)
+            if not np.isfinite(z).all() or frob(z) < 1e-300:
+                continue
+            if d == 1:
+                cand = -z / abs(z[0, 0])
+            else:
+                cand = -polar(z).unitary_factor
+            row = (flat @ np.conj(cand).ravel()) / d
+            row[i] = 1.0
+            new_r = r + pm * row
+            old_r = resid[i, :]
+            delta = np.abs(new_r) ** 2 - np.abs(old_r) ** 2
+            delta[i] = 0.0
+            if 2.0 * float(delta.sum()) < 0.0:
+                atoms[m, i] = cand
+                flat[i] = cand.ravel()
+                grams[m, i, :] = row
+                grams[m, :, i] = np.conj(row)
+                resid[i, :] = new_r
+                resid[:, i] = np.conj(new_r)
+            else:
+                rejected += 1
+    return atoms, grams, resid, rejected
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_atom_sweep_matches_the_reference_bit_for_bit(d):
+    from mufact.factorise import _atom_sweep, _grams
+
+    target, atoms, p, _ = _polish_case(d)  # atom 1 has weight 0
+    grams = _grams(atoms)
+    resid = np.einsum("m,mij->ij", p, grams) - target
+    want = (atoms.copy(), grams.copy(), resid.copy())
+    rejected = 0
+    for _ in range(4):
+        got = _atom_sweep(p, *(a.copy() for a in want))
+        *want, n = _atom_sweep_reference(p, *want)
+        rejected += n
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        # the row views wrote through: the grams are still those of the atoms
+        assert np.abs(got[1] - _grams(got[0])).max() <= 1e-12
+    assert want[0][1].tobytes() == atoms[1].tobytes()  # weight 0: never swept
+    assert not np.array_equal(want[0], atoms)
+    # at d = 1 the candidate is the exact minimiser of its entry's misfit
+    assert (rejected > 0) == (d > 1)
+
+
+@pytest.mark.parametrize("bad", ["zero", "inf", "nan"])
+def test_atom_sweep_skips_a_zero_or_non_finite_z_as_the_reference_does(bad):
+    from mufact.factorise import _atom_sweep, _grams
+
+    target, atoms, p, _ = _polish_case(2)
+    grams = _grams(atoms)
+    resid = np.einsum("m,mij->ij", p, grams) - target
+    if bad == "zero":  # r_j = 0 for j != 0 at atom 0, entry 0, so Z = 0
+        resid[0, 1:] = p[0] * grams[0, 0, 1:]
+    else:
+        resid[0, 1] = float(bad)
+    with np.errstate(invalid="ignore"):  # BLAS turns an inf entry of Z into nan
+        want = _atom_sweep_reference(p, atoms.copy(), grams.copy(), resid.copy())
+        got = _atom_sweep(p, atoms.copy(), grams.copy(), resid.copy())
+    assert want[0][0, 0].tobytes() == atoms[0, 0].tobytes()  # skipped
+    for g, w in zip(got, want[:3]):
+        assert g.tobytes() == w.tobytes()
 
 
 def _project_simplex(v):
@@ -538,24 +622,24 @@ def _weight_update_projected_gradient(p, grams, target, sweeps=50, tol=1e-10):
 
 
 def _weight_cases():
-    from mufact.factorise import _grams, _haar_tuples
+    from mufact.factorise import _grams
 
     rng = rng_from_seed(80)
     k = 3
     cases = {}
     for d in (1, 2):
         for m_cnt in (1, 5, k * k + 1):
-            atoms = _haar_tuples(m_cnt, k, d, rng)
+            atoms = random_haar_unitaries((m_cnt, k), d, rng)
             target = random_tuple_ensemble(k, d, 2, rng).gram_average()
             cases[f"seeded-d{d}-m{m_cnt}"] = (_grams(atoms), target)
-    grams = _grams(_haar_tuples(5, k, 2, rng))
+    grams = _grams(random_haar_unitaries((5, k), 2, rng))
     cases["inside"] = (grams, np.einsum("m,mij->ij", rng.dirichlet(np.ones(5)), grams))
-    cases["outside"] = (_grams(_haar_tuples(5, k, 1, rng)), np.eye(k))
-    atoms = _haar_tuples(3, k, 2, rng)
+    cases["outside"] = (_grams(random_haar_unitaries((5, k), 1, rng)), np.eye(k))
+    atoms = random_haar_unitaries((3, k), 2, rng)
     cases["duplicate-atoms"] = (
         _grams(atoms[[0, 1, 0, 2, 1, 0]]), random_tuple_ensemble(k, 2, 2, rng).gram_average()
     )
-    grams = _grams(_haar_tuples(5, k, 2, rng))
+    grams = _grams(random_haar_unitaries((5, k), 2, rng))
     cases["target-is-an-atom"] = (grams, grams[2].copy())
     return cases
 
@@ -623,6 +707,34 @@ def test_dist_bound_planted_and_monotone_under_doubling():
 def test_a_tuple_dimension_below_one_is_rejected(solve, d):
     with pytest.raises(MufactError, match="at least 1"):
         solve(np.eye(2), d, atoms=2, restarts=1, max_iters=5)
+
+
+# every count a caller may get wrong: not an integer, a bool, or below its floor
+BAD_COUNTS = [("d", 2.0), ("d", True), ("atoms", 2.0), ("atoms", True),
+              ("restarts", 1.5), ("restarts", True), ("max_iters", 5.0), ("max_iters", -1)]
+
+
+@pytest.mark.parametrize("name, value", BAD_COUNTS, ids=[f"{n}={v!r}" for n, v in BAD_COUNTS])
+@pytest.mark.parametrize("solve", [membership_solve, dist_upper_bound])
+def test_a_count_that_is_not_a_valid_integer_is_rejected(solve, name, value):
+    from mufact.factorise import _bound
+
+    args = dict(d=2, atoms=2, restarts=1, max_iters=5)
+    args[name] = value
+    _bound.cache_clear()
+    with pytest.raises(MufactError, match=rf"^{name} must be "):
+        solve(np.eye(2), **args)
+    assert _bound.cache_info().currsize == 0  # rejected before the memo
+
+
+@pytest.mark.parametrize("solve", [membership_solve, dist_upper_bound])
+def test_numpy_integer_counts_are_accepted(solve):
+    i = np.int64
+    got = solve(np.eye(2), i(2), atoms=i(2), restarts=i(1), max_iters=i(5), seed=3)
+    want = solve(np.eye(2), 2, atoms=2, restarts=1, max_iters=5, seed=3)
+    got, want = (getattr(b, "certificate", b) for b in (got, want))
+    assert got.ensemble.tuples.tobytes() == want.ensemble.tuples.tobytes()
+    assert got.ensemble.weights.tobytes() == want.ensemble.weights.tobytes()
 
 
 # a cheap search on a planted d=2 target, as in the distance bench's warm-up

@@ -16,6 +16,7 @@ from mufact import (
     sqrt_psd,
     svd,
 )
+from mufact.linalg import random_haar_unitaries
 
 
 def rand_herm(n, rng):
@@ -115,6 +116,36 @@ def test_random_haar_unitary_is_unitary_and_seeded():
     assert np.allclose(u.conj().T @ u, np.eye(5), atol=1e-12)
     assert np.array_equal(u, v)
     assert not np.allclose(u, w, atol=1e-3)
+
+
+def _haar_one_at_a_time(d, rng):
+    """Reference Haar draw of one matrix: two normal draws, then one QR."""
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r).copy()
+    diag[diag == 0] = 1.0
+    return q * (diag / np.abs(diag))
+
+
+@pytest.mark.parametrize("m, k, d", [(17, 4, 1), (5, 4, 2), (10, 3, 3)])
+def test_a_haar_stack_is_its_single_draws_in_index_order(m, k, d):
+    got = random_haar_unitaries((m, k), d, rng_from_seed(90 + d))
+    rng = rng_from_seed(90 + d)
+    want = np.stack([[_haar_one_at_a_time(d, rng) for _ in range(k)] for _ in range(m)])
+    assert got.shape == (m, k, d, d)
+    assert got.tobytes() == want.tobytes()
+    rng = rng_from_seed(90 + d)
+    singles = np.stack([[random_haar_unitary(d, rng) for _ in range(k)] for _ in range(m)])
+    assert singles.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_random_haar_unitary_keeps_its_bytes(d):
+    rng, ref = rng_from_seed(95, (d,)), rng_from_seed(95, (d,))
+    for _ in range(3):  # the stream position after each draw is kept too
+        u = random_haar_unitary(d, rng)
+        assert u.shape == (d, d)
+        assert u.tobytes() == _haar_one_at_a_time(d, ref).tobytes()
 
 
 def test_random_correlation_is_psd_with_unit_diagonal():
