@@ -141,6 +141,7 @@ def gram_matrix(t) -> np.ndarray:
 
 def random_tuple_ensemble(k: int, d: int, atoms: int, rng) -> UnitaryTupleEnsemble:
     """Seeded ensemble of Haar tuples with Dirichlet weights."""
+    _check_counts(k=k, d=d, atoms=atoms)
     weights = rng.dirichlet(np.ones(atoms))
     return UnitaryTupleEnsemble(weights, random_haar_unitaries((atoms, k), d, rng)).check()
 
@@ -634,10 +635,11 @@ def _solve_single(target, d: int, m_cnt: int, max_iters: int, tol: float, rng):
     return f, p, atoms
 
 
-def _check_counts(d, atoms, restarts, max_iters) -> None:
-    """MufactError unless each count is an int or np.integer (no bool) at its floor."""
-    for name, value, floor in (("d", d, 1), ("atoms", 1 if atoms is None else atoms, 1),
-                               ("restarts", restarts, 1), ("max_iters", max_iters, 0)):
+def _check_counts(**counts) -> None:
+    """MufactError unless each count is an int or np.integer (no bool) at its
+    floor: 0 for k and max_iters, 1 for the rest."""
+    for name, value in counts.items():
+        floor = 0 if name in ("k", "max_iters") else 1
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise MufactError(f"{name} must be an integer, got {value!r}")
         if value < floor:
@@ -663,7 +665,7 @@ def membership_solve(
     its own stream rng_from_seed(seed, (r,)), so its run does not depend on
     the others.
     """
-    _check_counts(d, atoms, restarts, max_iters)
+    _check_counts(d=d, atoms=1 if atoms is None else atoms, restarts=restarts, max_iters=max_iters)
     target = as_matrix(c)
     k = target.shape[0]
     if target.shape != (k, k):
@@ -719,7 +721,7 @@ def dist_upper_bound(
     search once. A hit returns a deep copy that is bit for bit what a cold
     call returns, and shares no array with the memo or with c.
     """
-    _check_counts(d, atoms, restarts, max_iters)
+    _check_counts(d=d, atoms=1 if atoms is None else atoms, restarts=restarts, max_iters=max_iters)
     target = as_matrix(c)
     bound = _bound(target.shape, target.tobytes(), d, atoms, restarts, max_iters, tol, seed)
     return copy.deepcopy(bound)

@@ -29,6 +29,7 @@ from mufact import (
     tuples_from_ensemble,
     verify_certificate,
 )
+from mufact import fileio
 from mufact.linalg import random_haar_unitaries, unitarity_defects
 
 
@@ -735,6 +736,35 @@ def test_numpy_integer_counts_are_accepted(solve):
     got, want = (getattr(b, "certificate", b) for b in (got, want))
     assert got.ensemble.tuples.tobytes() == want.ensemble.tuples.tobytes()
     assert got.ensemble.weights.tobytes() == want.ensemble.weights.tobytes()
+
+
+# every count random_tuple_ensemble may get wrong, with the rule it breaks;
+# d = 0 gave an ensemble whose Gram entries were all 0/0 = nan
+BAD_TUPLE_COUNTS = [(name, value, "an integer") for name in ("k", "d", "atoms")
+                    for value in (2.0, True)]
+BAD_TUPLE_COUNTS += [("d", 0, "at least 1"), ("atoms", 0, "at least 1"), ("k", -1, "at least 0"),
+                     ("d", -1, "at least 1"), ("atoms", -1, "at least 1")]
+
+
+@pytest.mark.parametrize("name, value, rule", BAD_TUPLE_COUNTS,
+                         ids=[f"{n}={v!r}" for n, v, _ in BAD_TUPLE_COUNTS])
+def test_random_tuple_ensemble_rejects_a_bad_count(name, value, rule):
+    counts = {"k": 3, "d": 2, "atoms": 2, name: value}
+    with pytest.raises(MufactError, match=rf"^{name} must be {rule}, got {value!r}$"):
+        random_tuple_ensemble(**counts, rng=rng_from_seed(5))
+
+
+def test_random_tuple_ensemble_accepts_empty_tuples_and_numpy_counts():
+    ens = random_tuple_ensemble(0, 2, 2, rng_from_seed(5))
+    assert ens.tuples.shape == (2, 0, 2, 2) and ens.gram_average().shape == (0, 0)
+    back = fileio.ensemble_from_json(fileio.tuple_ensemble_to_json(ens))
+    assert back.tuples.tobytes() == ens.tuples.tobytes()
+    assert back.weights.tobytes() == ens.weights.tobytes()
+    i = np.int64
+    got = random_tuple_ensemble(i(3), i(2), i(2), rng_from_seed(5))
+    want = random_tuple_ensemble(3, 2, 2, rng_from_seed(5))
+    assert got.tuples.tobytes() == want.tuples.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
 
 
 # a cheap search on a planted d=2 target, as in the distance bench's warm-up
