@@ -63,9 +63,7 @@ class UnitaryTuple:
     unitaries: np.ndarray
 
     def __post_init__(self):
-        self.unitaries = np.asarray(self.unitaries, dtype=complex)
-        if self.unitaries.ndim != 3 or self.unitaries.shape[1] != self.unitaries.shape[2]:
-            raise ShapeMismatch(f"expected a (k, d, d) stack, got {self.unitaries.shape}")
+        self.unitaries = _tuple_stack(self.unitaries, "kdd")
 
     @property
     def k(self) -> int:
@@ -91,9 +89,7 @@ class UnitaryTupleEnsemble:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
-        self.tuples = np.asarray(self.tuples, dtype=complex)
-        if self.tuples.ndim != 4 or self.tuples.shape[2] != self.tuples.shape[3]:
-            raise ShapeMismatch(f"expected a (M, k, d, d) stack, got {self.tuples.shape}")
+        self.tuples = _tuple_stack(self.tuples, "Mkdd")
         if len(self.weights) != self.tuples.shape[0]:
             raise ShapeMismatch("weight count does not match tuple count")
 
@@ -120,6 +116,19 @@ class UnitaryTupleEnsemble:
         return np.einsum("m,mij->ij", self.weights, _grams(self.tuples))
 
 
+def _tuple_stack(a, axes: str) -> np.ndarray:
+    """a as a complex stack with one axis per letter of axes, the last two
+    d x d with d >= 1, else ShapeMismatch.
+
+    k = 0 and M = 0 are allowed; d = 0 is not, since every Gram entry would
+    then be 0/0.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != len(axes) or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise ShapeMismatch(f"expected a ({', '.join(axes)}) stack with d >= 1, got {a.shape}")
+    return a
+
+
 def _first_block(mask: np.ndarray) -> tuple[int, ...] | None:
     """Index of the first True entry of a mask over a stack, or None; () on 0-d."""
     hits = np.argwhere(mask)
@@ -133,10 +142,7 @@ def _grams(stack: np.ndarray) -> np.ndarray:
 
 def gram_matrix(t) -> np.ndarray:
     """Gram matrix c_ij = tr_d(U_i* U_j) of a tuple of d x d matrices."""
-    u = t.unitaries if isinstance(t, UnitaryTuple) else np.asarray(t, dtype=complex)
-    if u.ndim != 3 or u.shape[1] != u.shape[2]:
-        raise ShapeMismatch(f"expected a (k, d, d) stack, got {u.shape}")
-    return _grams(u)
+    return _grams(_tuple_stack(t.unitaries if isinstance(t, UnitaryTuple) else t, "kdd"))
 
 
 def random_tuple_ensemble(k: int, d: int, atoms: int, rng) -> UnitaryTupleEnsemble:
@@ -374,20 +380,35 @@ def _weight_update(p, grams, target):
     dimension of the Gram matrices. It stops when the Frank-Wolfe gap is
     at most 1e-15 max Q_mm or a step no longer lowers the misfit; p comes
     back unchanged unless the new misfit is strictly lower.
+
+    The walk starts warm, at p itself, when p Q p is below every Q_mm, and
+    otherwise at the vertex with the smallest Q_mm. A warm start's first
+    pass runs one minor cycle on the support of p, with the best entering
+    atom added only if the gap test fails and that atom is outside the
+    support. The pass runs even when no atom enters, since p need not be
+    the affine minimiser of its own support; the solver's p nearly always
+    has the optimal support already, so one solve usually suffices.
     """
     diff = grams - target
     q = np.real(np.einsum("mij,nij->mn", np.conj(diff), diff))
     diag = np.diagonal(q)
     gap_tol = 1e-15 * float(diag.max())
-    w = np.zeros(len(p))
-    w[np.argmin(diag)] = 1.0
-    f = float(diag.min())
+    f_in = float(p @ q @ p)
+    warm = f_in < diag.min()
+    if warm:
+        w, f = p, f_in
+    else:
+        w = np.zeros(len(p))
+        w[np.argmin(diag)] = 1.0
+        f = float(diag.min())
     while True:
         g = q @ w
         j = int(np.argmin(g))
-        if f - g[j] <= gap_tol or w[j] > 0.0:
+        settled = f - g[j] <= gap_tol or w[j] > 0.0
+        if settled and not warm:
             break
-        support = np.append(np.flatnonzero(w), j)
+        support = np.flatnonzero(w) if settled else np.append(np.flatnonzero(w), j)
+        warm = False
         cur = w[support]
         while True:
             n = len(support)
@@ -412,7 +433,7 @@ def _weight_update(p, grams, target):
             break
         w, f = w_try, f_try
     w = w / w.sum()
-    f, f_in = float(w @ q @ w), float(p @ q @ p)
+    f = float(w @ q @ w)
     return (w, f) if f < f_in else (p, f_in)
 
 

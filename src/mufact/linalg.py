@@ -2,8 +2,7 @@
 
 Everything here is a thin, convention-pinning layer over numpy's LAPACK
 bindings: Hermitian eigendecompositions are returned in descending order,
-polar decompositions produce a unitary factor even for singular input, and
-all randomness flows through explicitly seeded generators.
+and all randomness flows through explicitly seeded generators.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian, NotPSD, ShapeMismatch
+from .errors import NoConvergence, NotHermitian, ShapeMismatch
 
 ComplexMatrix = np.ndarray
 Seed = int
@@ -43,14 +42,6 @@ class EigenSystem:
 
     values: np.ndarray
     vectors: ComplexMatrix
-
-
-@dataclass
-class PolarParts:
-    """Factors of X = unitary_factor @ psd_factor."""
-
-    unitary_factor: ComplexMatrix
-    psd_factor: ComplexMatrix
 
 
 def herm_eig(a) -> EigenSystem:
@@ -87,38 +78,9 @@ def svd(x) -> tuple[ComplexMatrix, np.ndarray, ComplexMatrix]:
     return p, s, qh
 
 
-def polar(x) -> PolarParts:
-    """Polar decomposition X = U @ P with U unitary and P PSD.
-
-    The unitary factor is P_svd @ Qh, which stays unitary even when X is
-    singular; in particular polar(0) has unitary factor I.
-    """
-    m = as_matrix(x)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"polar factor needs a square matrix, got {m.shape}")
-    p, s, qh = svd(m)
-    u = p @ qh
-    psd = dagger(qh) @ (s[:, None] * qh)
-    return PolarParts(unitary_factor=u, psd_factor=psd)
-
-
 def below_psd_floor(values: np.ndarray, a) -> bool:
     """Whether eigenvalues `values` of A dip below -PSD_FLOOR * (1 + ||A||_F)."""
     return bool(values.min(initial=0.0) < -PSD_FLOOR * (1.0 + frob(a)))
-
-
-def sqrt_psd(a) -> ComplexMatrix:
-    """Principal square root of a PSD matrix.
-
-    Negative eigenvalues above the PSD floor (see below_psd_floor) are
-    clamped to zero; anything below it raises NotPSD.
-    """
-    es = herm_eig(a)
-    if below_psd_floor(es.values, a):
-        raise NotPSD(f"eigenvalue {es.values.min():.3e} below PSD floor")
-    vals = np.clip(es.values, 0.0, None)
-    v = es.vectors
-    return (v * np.sqrt(vals)) @ dagger(v)
 
 
 def op_norm(x) -> float:

@@ -53,6 +53,20 @@ def test_gram_rejects_bad_shapes():
         gram_matrix(np.zeros((2, 2)))
 
 
+D0_BUILDERS = {
+    "tuple": lambda: UnitaryTuple(np.zeros((2, 0, 0))),
+    "ensemble": lambda: UnitaryTupleEnsemble([0.5, 0.5], np.zeros((2, 3, 0, 0))),
+    "gram_matrix": lambda: gram_matrix(np.zeros((2, 0, 0))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(D0_BUILDERS))
+def test_a_stack_of_0x0_entries_is_rejected(entry):
+    # every Gram entry of such a stack is 0/0
+    with pytest.raises(ShapeMismatch, match=r"with d >= 1, got \((2, 3|2), 0, 0\)$"):
+        D0_BUILDERS[entry]()
+
+
 def test_tuple_check_rejects_non_unitary():
     with pytest.raises(NotUnitary):
         UnitaryTuple(np.zeros((2, 3, 3))).check()
@@ -505,11 +519,17 @@ def test_svd_damped_step_matches_the_lstsq_step(d):
     assert np.abs(got[2] - want[2]).max() <= 1e-12 * np.abs(want[2]).max()
 
 
+def _polar(x):
+    """Unitary polar factor P @ Qh of X = P diag(s) Qh."""
+    p, _, qh = np.linalg.svd(np.asarray(x, dtype=complex))
+    return p @ qh
+
+
 def _atom_sweep_reference(p, atoms, grams, resid):
     """Reference `_atom_sweep`, one entry at a time through full index
-    expressions, with `polar` for the d > 1 candidate and an explicit
+    expressions, with `_polar` for the d > 1 candidate and an explicit
     isfinite test; also returns how many candidates it rejected."""
-    from mufact.linalg import frob, polar
+    from mufact.linalg import frob
 
     rejected = 0
     m_cnt, k, d = atoms.shape[0], atoms.shape[1], atoms.shape[2]
@@ -528,7 +548,7 @@ def _atom_sweep_reference(p, atoms, grams, resid):
             if d == 1:
                 cand = -z / abs(z[0, 0])
             else:
-                cand = -polar(z).unitary_factor
+                cand = -_polar(z)
             row = (flat @ np.conj(cand).ravel()) / d
             row[i] = 1.0
             new_r = r + pm * row
@@ -622,6 +642,53 @@ def _weight_update_projected_gradient(p, grams, target, sweeps=50, tol=1e-10):
     return p, f
 
 
+def _weight_q(grams, target):
+    diff = grams - target
+    return np.real(np.einsum("mij,nij->mn", np.conj(diff), diff))
+
+
+def _weight_update_cold_reference(p, grams, target):
+    """Reference weight step: Wolfe's walk always started at the vertex with
+    the smallest Q_mm, as `_weight_update` does when p is no better."""
+    q = _weight_q(grams, target)
+    diag = np.diagonal(q)
+    gap_tol = 1e-15 * float(diag.max())
+    w = np.zeros(len(p))
+    w[np.argmin(diag)] = 1.0
+    f = float(diag.min())
+    while True:
+        g = q @ w
+        j = int(np.argmin(g))
+        if f - g[j] <= gap_tol or w[j] > 0.0:
+            break
+        support = np.append(np.flatnonzero(w), j)
+        cur = w[support]
+        while True:
+            n = len(support)
+            kkt = np.ones((n + 1, n + 1))
+            kkt[:n, :n] = q[support[:, None], support]
+            kkt[n, n] = 0.0
+            rhs = np.zeros(n + 1)
+            rhs[n] = 1.0
+            alpha = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:n]
+            if (alpha >= 0.0).all():
+                break
+            out = np.flatnonzero(alpha < 0.0)
+            ratios = cur[out] / (cur[out] - alpha[out])
+            cur = cur + ratios.min() * (alpha - cur)
+            cur[out[np.argmin(ratios)]] = 0.0
+            support, cur = support[cur > 0.0], cur[cur > 0.0]
+        w_try = np.zeros(len(w))
+        w_try[support] = alpha
+        f_try = float(w_try @ q @ w_try)
+        if not f_try < f:
+            break
+        w, f = w_try, f_try
+    w = w / w.sum()
+    f, f_in = float(w @ q @ w), float(p @ q @ p)
+    return (w, f) if f < f_in else (p, f_in)
+
+
 def _weight_cases():
     from mufact.factorise import _grams
 
@@ -678,6 +745,84 @@ def test_weight_step_is_the_exact_minimiser_on_the_simplex(name, start):
         assert misfit(w) <= 1e-24
     if name == "outside":
         assert misfit(w) >= 1e-3
+
+
+def _counting_lstsq(monkeypatch):
+    """Record the size of every lstsq solve from here on."""
+    sizes, solve = [], np.linalg.lstsq
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("start", ["uniform", "random"])
+@pytest.mark.parametrize("name", sorted(WEIGHT_CASES))
+def test_warm_weight_step_is_no_worse_than_the_cold_walk(name, start):
+    from mufact.factorise import _weight_update
+
+    grams, target = WEIGHT_CASES[name]
+    q = _weight_q(grams, target)
+    m_cnt = grams.shape[0]
+    p = np.full(m_cnt, 1.0 / m_cnt)
+    if start == "random":
+        p = rng_from_seed(81).dirichlet(np.ones(m_cnt))
+    w, _ = _weight_update(p.copy(), grams, target)
+    ref, _ = _weight_update_cold_reference(p.copy(), grams, target)
+    assert w @ q @ w <= ref @ q @ ref + 1e-15 * np.diagonal(q).max()
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_CASES))
+def test_a_weight_step_started_at_the_optimum_takes_at_most_one_solve(name, monkeypatch):
+    from mufact.factorise import _weight_update
+
+    grams, target = WEIGHT_CASES[name]
+    q = _weight_q(grams, target)
+    m_cnt = grams.shape[0]
+    opt, _ = _weight_update_cold_reference(np.full(m_cnt, 1.0 / m_cnt), grams, target)
+    sizes = _counting_lstsq(monkeypatch)
+    w, _ = _weight_update(opt.copy(), grams, target)
+    assert len(sizes) <= 1
+    assert w @ q @ w <= opt @ q @ opt
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_CASES))
+def test_a_weight_step_from_above_every_vertex_misfit_walks_from_the_best_vertex(
+    name, monkeypatch
+):
+    from mufact.factorise import _weight_update
+
+    grams, target = WEIGHT_CASES[name]
+    diag = np.diagonal(_weight_q(grams, target))
+    p = np.zeros(grams.shape[0])
+    p[np.argmax(diag)] = 1.0  # misfit max Q_mm, not below min Q_mm
+    sizes = _counting_lstsq(monkeypatch)
+    want = _weight_update_cold_reference(p.copy(), grams, target)
+    n_ref = len(sizes)
+    got = _weight_update(p.copy(), grams, target)
+    assert sizes[n_ref:] == sizes[:n_ref]
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1] == want[1]
+
+
+def test_a_weight_step_that_does_not_lower_the_misfit_returns_p_itself():
+    from mufact.factorise import _weight_update
+
+    unchanged = 0
+    for grams, target in WEIGHT_CASES.values():
+        q = _weight_q(grams, target)
+        m_cnt = grams.shape[0]
+        opt, _ = _weight_update_cold_reference(np.full(m_cnt, 1.0 / m_cnt), grams, target)
+        for p in (opt, _weight_update(np.full(m_cnt, 1.0 / m_cnt), grams, target)[0]):
+            w, f = _weight_update(p, grams, target)
+            f_in = float(p @ q @ p)
+            if not f < f_in:
+                assert w is p and f == f_in
+                unchanged += 1
+    assert unchanged > 0
 
 
 def test_membership_reports_honest_residual_when_budget_is_too_small():

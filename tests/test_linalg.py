@@ -5,15 +5,12 @@ import pytest
 
 from mufact import (
     NotHermitian,
-    NotPSD,
     ShapeMismatch,
     herm_eig,
     op_norm,
-    polar,
     random_correlation,
     random_haar_unitary,
     rng_from_seed,
-    sqrt_psd,
     svd,
 )
 from mufact.linalg import random_haar_unitaries
@@ -51,47 +48,6 @@ def test_svd_reconstructs_with_descending_singular_values():
     assert np.all(s >= 0.0)
     assert np.all(np.diff(s) <= 0.0)
     assert np.allclose(p @ (s[:, None] * qh[: len(s)]), m, atol=1e-12)
-
-
-def test_polar_factors():
-    rng = rng_from_seed(3)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    parts = polar(a)
-    u, p = parts.unitary_factor, parts.psd_factor
-    assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
-    assert np.allclose(p, p.conj().T, atol=1e-12)
-    assert np.linalg.eigvalsh(p).min() >= -1e-12
-    assert np.allclose(u @ p, a, atol=1e-12)
-
-
-def test_polar_of_zero_has_identity_unitary_factor():
-    parts = polar(np.zeros((3, 3)))
-    assert np.allclose(parts.unitary_factor, np.eye(3), atol=0.0)
-
-
-def test_polar_rejects_non_square():
-    with pytest.raises(ShapeMismatch):
-        polar(np.zeros((2, 3)))
-
-
-def test_sqrt_psd_squares_back():
-    rng = rng_from_seed(5)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    a = g.conj().T @ g
-    b = sqrt_psd(a)
-    assert np.allclose(b @ b, a, atol=1e-10)
-    assert np.allclose(b, b.conj().T, atol=1e-12)
-
-
-def test_sqrt_psd_clamps_tiny_negative_eigenvalues():
-    a = np.diag([1.0, -1e-12])
-    b = sqrt_psd(a)
-    assert np.allclose(b, np.diag([1.0, 0.0]), atol=1e-6)
-
-
-def test_sqrt_psd_rejects_indefinite():
-    with pytest.raises(NotPSD):
-        sqrt_psd(np.diag([1.0, -1.0]))
 
 
 def test_op_norm_of_diagonal_and_empty():

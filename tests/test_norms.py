@@ -18,7 +18,7 @@ from mufact import (
 )
 from mufact import norms
 from mufact.channels import KrausChannel, choi_of, to_blocks
-from mufact.linalg import polar, random_haar_unitaries
+from mufact.linalg import random_haar_unitaries
 from mufact.norms import split_bound
 
 
@@ -365,6 +365,8 @@ def test_schur_norm_psd_is_max_diagonal():
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     a = g.conj().T @ g
     assert schur_norm_psd(a) == pytest.approx(np.diagonal(a).real.max(), abs=1e-12)
+    # an eigenvalue above the PSD floor -1e-10 (1 + ||A||_F) still passes
+    assert schur_norm_psd(np.diag([1.0, -1e-12])) == 1.0
     with pytest.raises(NotPSD):
         schur_norm_psd([[1.0, 2.0], [2.0, 1.0]])
 
@@ -409,6 +411,12 @@ def test_superop_lb_of_a_map_on_empty_matrices_is_zero():
     assert superop_norm_lb(lambda x: x, dim=0) == 0.0
 
 
+def _polar(x):
+    """Unitary polar factor P @ Qh of X = P diag(s) Qh; I for X = 0."""
+    p, _, qh = np.linalg.svd(np.asarray(x, dtype=complex))
+    return p @ qh
+
+
 def _superop_ascent_reference(phi, dim=None, seed=0):
     """Reference `superop_norm_lb`: the gradient ascent with a tuned step
     schedule and a `polar` retraction that the alternating steps replaced,
@@ -438,7 +446,7 @@ def _superop_ascent_reference(phi, dim=None, seed=0):
             lvec = np.conj(pmat[:, 0])
             rvec = np.conj(qh[0])
             grad = np.conj(np.einsum("r,abrs,s->ab", lvec, basis, rvec))
-            cand = polar(u + step * grad).unitary_factor
+            cand = _polar(u + step * grad)
             wc = value(cand)
             pc, sc, qc = np.linalg.svd(wc)
             if sc[0] > f + 1e-14:
