@@ -184,11 +184,13 @@ class GramCertificate:
         self.ensemble.check()
         fresh = self.ensemble.gram_average()
         drift = np.abs(fresh - self.achieved).max(initial=0.0)
-        if drift > tol:
+        # written as not (x <= tol), so a NaN anywhere fails the check
+        if not drift <= tol:
             raise MufactError(f"stored Gram average off by {drift:.3e} on recompute")
         diff = self.target - self.achieved
-        if abs(frob(diff) - self.residual_fro) > tol or (
-            abs(float(np.abs(diff).max(initial=0.0)) - self.residual_max) > tol
+        if not (
+            abs(frob(diff) - self.residual_fro) <= tol
+            and abs(float(np.abs(diff).max(initial=0.0)) - self.residual_max) <= tol
         ):
             raise MufactError("stored residuals do not match the stored matrices")
         return self
@@ -333,6 +335,12 @@ def correction_pipeline(
     yields an exact factorisation at dimension 2d whose Gram average c_hat
     deviates from c by less than 2*epsilon whenever phi was epsilon-close
     to exact (bound_ok records whether that happened).
+
+    c_hat depends on each dilated tuple only through its Gram matrix, so
+    the certificate holds one atom per distinct Gram matrix (within
+    GRAM_RECOMPUTE_TOL in Frobenius norm), carrying the pooled weight of
+    its members, heaviest first. A mu ensemble's d^4 Weyl-sandwiched copies
+    of a tuple share one Gram matrix, and so do their dilations.
     """
     target = as_matrix(c)
     k = target.shape[0]
@@ -351,7 +359,8 @@ def correction_pipeline(
         raise MufactError("compressed-map biaverage disagrees with block Grams")
 
     dil = np.ascontiguousarray(np.conj(np.swapaxes(halmos_dilate(diag), -1, -2)))
-    cert = GramCertificate.build(UnitaryTupleEnsemble(phi.weights.copy(), dil), target)
+    weights, reps = _merge_atoms(phi.weights, dil, _grams(dil), GRAM_RECOMPUTE_TOL)
+    cert = GramCertificate.build(UnitaryTupleEnsemble(weights, reps), target)
     return CorrectionReport(
         c=target,
         c_tilde=c_tilde,
@@ -584,20 +593,24 @@ def _merge_atoms(p, atoms, grams, thresh: float):
     Gram matrices are invariant under the per-atom gauge freedoms, so
     nearby Grams mean interchangeable atoms; weights are pooled onto the
     heaviest member of each cluster. Zero-weight atoms are dropped.
+
+    The loop runs over clusters, not atoms: each pass makes the heaviest
+    unassigned atom a representative, and one vectorised distance claims
+    every unassigned atom within thresh of it. A cluster's weight is summed
+    in descending-weight order, so it equals adding the members one by one
+    in that order. Representatives come out heaviest first.
     """
     order = np.argsort(p)[::-1]
+    order = order[p[order] > 0.0]
+    left = grams[order]
     rep_idx: list[int] = []
     weights: list[float] = []
-    for m in order:
-        if p[m] <= 0.0:
-            continue
-        for r, ridx in enumerate(rep_idx):
-            if frob(grams[m] - grams[ridx]) <= thresh:
-                weights[r] += p[m]
-                break
-        else:
-            rep_idx.append(m)
-            weights.append(p[m])
+    while len(order):
+        near = np.linalg.norm(left - left[0], axis=(-2, -1)) <= thresh
+        near[0] = True  # the representative itself, even if its Gram is not finite
+        rep_idx.append(order[0])
+        weights.append(np.cumsum(p[order[near]])[-1])
+        order, left = order[~near], left[~near]
     return np.array(weights), atoms[rep_idx].copy()
 
 

@@ -220,12 +220,15 @@ def certificate_from_json(obj) -> GramCertificate:
         target = matrix_from_json(obj["target"])
         if achieved.shape != (ensemble.k,) * 2 or target.shape != achieved.shape:
             raise FileFormatError("certificate matrices must be k x k for the ensemble's k")
+        residuals = obj["residual_fro"], obj["residual_max"]
+        if not all(_is_number(r) for r in residuals):
+            raise FileFormatError("certificate residuals must be finite numbers")
         return GramCertificate(
             ensemble=ensemble,
             achieved=achieved,
             target=target,
-            residual_fro=float(obj["residual_fro"]),
-            residual_max=float(obj["residual_max"]),
+            residual_fro=float(residuals[0]),
+            residual_max=float(residuals[1]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad certificate object: {exc}") from exc

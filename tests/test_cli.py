@@ -203,6 +203,23 @@ def test_correct_cli_and_report_reproducibility(tmp_path):
     assert first["inputs"]["C"]["sha256"] == fileio.sha256_of(base + ".correlation.json")
     assert run(["verify", "--what", "certificate",
                 first["results"]["certificate_path"]])[0] == 0
+    # the 2 * 2**4 Weyl copies of the 2 planted tuples pool to one atom per tuple
+    assert fileio.load_ensemble(mu).size == 32
+    cert = fileio.load_json(first["results"]["certificate_path"])
+    assert len(cert["ensemble"]["tuples"]) == len(cert["ensemble"]["weights"]) == 2
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "true", '"1e-3"', "null"])
+@pytest.mark.parametrize("field", ["residual_fro", "residual_max"])
+def test_verify_certificate_with_a_non_numeric_residual_exits_2(tmp_path, field, text):
+    ens = mufact.random_tuple_ensemble(3, 2, 2, mufact.rng_from_seed(8))
+    obj = fileio.certificate_to_json(mufact.GramCertificate.build(ens, ens.gram_average()))
+    good = _write(tmp_path / "good.json", obj)
+    assert run(["verify", "--what", "certificate", good])[0] == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(obj, **{field: "@"})).replace('"@"', text))
+    rc, _, err = run(["verify", "--what", "certificate", str(bad)])
+    assert rc == 2 and "residuals must be finite numbers" in err
 
 
 # ---------------------------------------------------------------------------

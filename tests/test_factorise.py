@@ -102,6 +102,15 @@ def test_certificate_detects_tampering():
         verify_certificate(cert)
 
 
+@pytest.mark.parametrize("field", ["residual_fro", "residual_max"])
+def test_certificate_check_fails_on_a_nan_residual(field):
+    ens = random_tuple_ensemble(3, 1, 2, rng_from_seed(34))
+    cert = GramCertificate.build(ens, ens.gram_average())
+    setattr(cert, field, float("nan"))
+    with pytest.raises(MufactError, match="stored residuals"):
+        verify_certificate(cert)
+
+
 # ---------------------------------------------------------------------------
 # the two exact directions
 
@@ -317,6 +326,130 @@ def test_correction_convex_perturbation_obeys_bound():
     assert rep.max_abs_delta < 4.0 * t
     assert rep.bound_ok
     verify_certificate(rep.certificate)
+
+
+def _unpooled_gram_average(phi, d, k):
+    """Gram average of every member's dilated blocks, as correct wrote it before pooling."""
+    diag = to_blocks(phi.unitaries, d, k)[:, range(k), range(k)]
+    dil = np.conj(np.swapaxes(halmos_dilate(diag), -1, -2))
+    return UnitaryTupleEnsemble(phi.weights, dil).gram_average()
+
+
+def test_correction_pools_the_weyl_copies_of_each_tuple():
+    rng = rng_from_seed(44)
+    e0 = random_tuple_ensemble(4, 3, 3, rng)
+    e1 = random_tuple_ensemble(4, 3, 3, rng)
+    c = 0.95 * e0.gram_average() + 0.05 * e1.gram_average()
+    phi = mu_ensemble_from_tuples(e0)
+    assert phi.size == 243
+    rep = correction_pipeline(c, phi, 0.1, 3)
+    pooled = rep.certificate.ensemble
+    assert pooled.size == 3 and pooled.d == 6
+    assert abs(pooled.weights.sum() - 1.0) <= 1e-12
+    assert np.allclose(pooled.weights, np.sort(e0.weights)[::-1], rtol=0.0, atol=1e-12)
+    assert np.abs(rep.c_hat - _unpooled_gram_average(phi, 3, 4)).max() <= 1e-12
+    assert rep.max_abs_delta == rep.certificate.residual_max
+    verify_certificate(rep.certificate, tol=1e-10)
+
+
+def test_correction_keeps_every_member_whose_gram_is_distinct():
+    ens = random_tuple_ensemble(3, 2, 5, rng_from_seed(45))
+    k, d = ens.k, ens.d
+    # members block-diagonal in the adjoint entries, without the Weyl sandwich
+    members = np.zeros((ens.size, d * k, d * k), dtype=complex)
+    to_blocks(members, d, k)[:, range(k), range(k)] = np.conj(ens.tuples.swapaxes(-1, -2))
+    phi = MixedUnitaryEnsemble(ens.weights, members)
+    rep = correction_pipeline(np.eye(k), phi, 1.0, d)
+    order = np.argsort(ens.weights)[::-1]
+    assert np.array_equal(rep.certificate.ensemble.weights, ens.weights[order])
+    assert np.abs(rep.c_hat - _unpooled_gram_average(phi, d, k)).max() <= 1e-12
+    verify_certificate(rep.certificate, tol=1e-10)
+
+
+def _merge_atoms_reference(p, atoms, grams, thresh):
+    """The atom-by-atom merge loop that the cluster loop replaced."""
+    from mufact.linalg import frob
+
+    order = np.argsort(p)[::-1]
+    rep_idx: list[int] = []
+    weights: list[float] = []
+    for m in order:
+        if p[m] <= 0.0:
+            continue
+        for r, ridx in enumerate(rep_idx):
+            if frob(grams[m] - grams[ridx]) <= thresh:
+                weights[r] += p[m]
+                break
+        else:
+            rep_idx.append(m)
+            weights.append(p[m])
+    return np.array(weights), atoms[rep_idx].copy()
+
+
+def _merge_cases():
+    """Solver-shaped (p, atoms, grams) triples whose Grams straddle 0.2 and 0.5."""
+    from mufact.factorise import _grams
+
+    rng = rng_from_seed(46)
+    for n in range(60):
+        m_cnt, k, d = 1 + n % 11, 2 + n % 3, 1 + n % 2
+        atoms = random_haar_unitaries((m_cnt, k), d, rng)
+        grams = _grams(atoms)
+        # pull atoms towards a few centres so that clusters form
+        centres = grams[rng.integers(0, m_cnt, size=m_cnt)]
+        grams = centres + rng.uniform(0.0, 0.3) * (grams - centres)
+        p = rng.dirichlet(np.ones(m_cnt))
+        if n % 3 == 0:
+            p[rng.random(m_cnt) < 0.3] = 0.0
+        if n % 4 == 0 and m_cnt > 2:  # exact duplicates and weight ties
+            grams[1] = grams[0]
+            p[2] = p[1]
+        yield p, atoms, grams
+
+
+@pytest.mark.parametrize("thresh", [0.0, 0.2, 0.5])
+def test_merge_atoms_matches_the_atom_loop_bit_for_bit(thresh):
+    from mufact.factorise import _merge_atoms
+
+    sizes = set()
+    for p, atoms, grams in _merge_cases():
+        w, reps = _merge_atoms(p, atoms, grams, thresh)
+        w_ref, reps_ref = _merge_atoms_reference(p, atoms, grams, thresh)
+        assert w.dtype == w_ref.dtype and w.tobytes() == w_ref.tobytes()
+        assert reps.shape == reps_ref.shape and reps.tobytes() == reps_ref.tobytes()
+        sizes.add((int((p > 0.0).sum()), len(w)))
+    if thresh > 0.0:  # some cases really merged
+        assert any(live > kept for live, kept in sizes)
+
+
+def test_merge_atoms_on_edge_cases_matches_the_atom_loop():
+    from mufact.factorise import _merge_atoms
+
+    rng = rng_from_seed(47)
+    atoms = random_haar_unitaries((6, 3), 2, rng)
+    grams = np.stack([gram_matrix(a) for a in atoms])
+    grams[3] = grams[1]  # exact duplicate
+    cases = [
+        (np.array([1.0]), atoms[:1], grams[:1]),  # M = 1
+        (np.full(6, 1.0 / 6.0), atoms, grams),  # every weight tied
+        (np.array([0.5, 0.0, 0.25, 0.25, 0.0, 0.0]), atoms, grams),  # zero weights
+        (np.zeros(6), atoms, grams),  # nothing left
+        (np.array([0.1, 0.3, 0.1, 0.3, 0.1, 0.1]), atoms, grams),  # ties and a duplicate
+        # one cluster of 40, where a pairwise sum would round differently
+        (rng.dirichlet(np.ones(40)), random_haar_unitaries((40, 3), 2, rng),
+         grams[0] + 1e-3 * rng.standard_normal((40, 3, 3))),
+    ]
+    for p, a, g in cases:
+        for thresh in (0.0, 0.2, 0.5, 1.0):
+            w, reps = _merge_atoms(p, a, g, thresh)
+            w_ref, reps_ref = _merge_atoms_reference(p, a, g, thresh)
+            assert w.tobytes() == w_ref.tobytes()
+            assert reps.shape == reps_ref.shape and reps.tobytes() == reps_ref.tobytes()
+    w, reps = _merge_atoms(cases[2][0], atoms, grams, 0.0)
+    assert len(w) == 3 and (w > 0.0).all()  # the zero-weight atoms are dropped
+    w, reps = _merge_atoms(cases[4][0], atoms, grams, 0.0)
+    assert len(w) == 5 and w[0] == 0.3 + 0.3  # the duplicate pools onto its twin
+    assert np.array_equal(reps[0], atoms[np.argsort(cases[4][0])[::-1][0]])
 
 
 # ---------------------------------------------------------------------------
