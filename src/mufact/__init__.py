@@ -16,7 +16,6 @@ from .errors import (
 )
 from .linalg import (
     ComplexMatrix,
-    EigenSystem,
     Seed,
     herm_eig,
     op_norm,
@@ -28,7 +27,6 @@ from .linalg import (
 from .channels import (
     ChannelReport,
     ChoiMatrix,
-    DeltaCompression,
     KrausChannel,
     MixedUnitaryEnsemble,
     SchurSymbol,
@@ -54,7 +52,6 @@ from .factorise import (
     CorrectionReport,
     DistanceBound,
     GramCertificate,
-    UnitaryTuple,
     UnitaryTupleEnsemble,
     correction_pipeline,
     dist_upper_bound,

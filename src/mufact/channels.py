@@ -12,8 +12,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import (
     NotUnitary,
     ShapeMismatch,
 )
-from .linalg import ComplexMatrix, as_matrix, dagger, frob, herm_eig, unitarity_defects
+from .linalg import ComplexMatrix, as_matrix, frob, herm_eig, unitarity_defects
 from .linalg import below_psd_floor
 
 # |sum of weights - 1|, ||U* U - I||_F and |c_ii - 1| allowed by the checks
@@ -90,36 +89,27 @@ def check_weights(weights: np.ndarray) -> None:
 
 @dataclass
 class KrausChannel:
-    """Completely positive map X -> sum_i A_i X A_i*."""
+    """Completely positive map X -> sum_i A_i X A_i*, the A_i an (n, r, c) stack."""
 
-    kraus: list
+    kraus: np.ndarray
 
     def __post_init__(self):
-        self.kraus = [as_matrix(a) for a in self.kraus]
-        if not self.kraus:
-            raise ShapeMismatch("channel needs at least one Kraus operator")
-        shape = self.kraus[0].shape
-        if any(a.shape != shape for a in self.kraus):
-            raise ShapeMismatch("Kraus operators must share a common shape")
+        try:
+            self.kraus = np.asarray(self.kraus, dtype=complex)
+        except ValueError as exc:  # a ragged list of operators
+            raise ShapeMismatch("Kraus operators must share a common shape") from exc
+        if self.kraus.ndim != 3 or self.kraus.shape[0] == 0:
+            raise ShapeMismatch(
+                f"expected a non-empty (n, r, c) stack of Kraus operators, got {self.kraus.shape}"
+            )
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.kraus.shape[2]
 
     def apply(self, x) -> ComplexMatrix:
-        m = as_matrix(x)
-        out = np.zeros((self.kraus[0].shape[0],) * 2, dtype=complex)
-        for a in self.kraus:
-            out += a @ m @ dagger(a)
-        return out
-
-    def tp_residual(self) -> float:
-        s = sum(dagger(a) @ a for a in self.kraus)
-        return frob(s - np.eye(self.dim))
-
-    def unital_residual(self) -> float:
-        s = sum(a @ dagger(a) for a in self.kraus)
-        return frob(s - np.eye(self.kraus[0].shape[0]))
+        ax = self.kraus @ as_matrix(x)
+        return np.tensordot(ax, np.conj(self.kraus), axes=([0, 2], [0, 2]))
 
 
 @dataclass
@@ -147,7 +137,7 @@ class ChoiMatrix:
     def cp_check(self) -> tuple[float, bool]:
         """CP residual (the most negative eigenvalue's size, 0 when PSD), and
         whether it is within CHANNEL_TOL * (1 + ||Choi||_F)."""
-        res = float(max(0.0, -herm_eig(self.matrix).values.min(initial=0.0)))
+        res = float(max(0.0, -herm_eig(self.matrix)[0].min(initial=0.0)))
         return res, res <= CHANNEL_TOL * (1.0 + frob(self.matrix))
 
 
@@ -207,9 +197,9 @@ class SchurSymbol:
 
     def check(self):
         """Raise unless c is PSD with unit diagonal."""
-        es = herm_eig(self.c)  # rejects non-Hermitian input
-        if below_psd_floor(es.values, self.c):
-            raise NotCP(f"symbol has eigenvalue {es.values.min():.3e}")
+        vals = herm_eig(self.c)[0]  # rejects non-Hermitian input
+        if below_psd_floor(vals, self.c):
+            raise NotCP(f"symbol has eigenvalue {vals.min():.3e}")
         off = np.abs(np.diagonal(self.c) - 1.0).max(initial=0.0)
         if off > DIAG_TOL:
             raise MufactError(f"diagonal deviates from 1 by {off:.3e}")
@@ -230,31 +220,6 @@ class ChannelReport:
     cp_residual: float
     tp_residual: float
     unital_residual: float
-
-
-@dataclass
-class DeltaCompression:
-    """Result of delta_compress: the compressed map and, when the input was a
-    mixed-unitary ensemble, the composed ensemble realising the lifted map."""
-
-    choi: ChoiMatrix
-    ensemble: MixedUnitaryEnsemble | None = field(default=None, repr=False)
-
-    @cached_property
-    def channel(self) -> KrausChannel:
-        """Kraus form of the compressed map (kraus_from_choi), built on first access."""
-        return kraus_from_choi(self.choi)
-
-    @cached_property
-    def composed(self) -> MixedUnitaryEnsemble | None:
-        """Each input member sandwiched between Weyl unitaries on the block
-        factor by weyl_sandwich: d^4 * M members of weight p_m / d^4, built
-        and checked on first access. None when the input was not an ensemble."""
-        phi = self.ensemble
-        if phi is None:
-            return None
-        k = self.choi.k
-        return weyl_sandwich(phi.weights, phi.unitaries, phi.dim // k, k)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +312,7 @@ def choi_of(t, dim: int | None = None) -> ChoiMatrix:
     if isinstance(t, MixedUnitaryEnsemble):
         return ChoiMatrix(_gram_choi(t.weights, t.unitaries), t.dim)
     if isinstance(t, KrausChannel):
-        return ChoiMatrix(_gram_choi(np.ones(len(t.kraus)), np.stack(t.kraus)), t.dim)
+        return ChoiMatrix(_gram_choi(np.ones(len(t.kraus)), t.kraus), t.dim)
     apply, k = _as_apply(t, dim)
     blocks = np.empty((k, k, k, k), dtype=complex)
     e = np.zeros((k, k), dtype=complex)
@@ -366,10 +331,10 @@ def kraus_from_choi(choi: ChoiMatrix) -> KrausChannel:
     index used here an eigenvector reshapes to a matrix whose transpose is
     the Kraus operator.
     """
-    es = herm_eig(choi.matrix)
+    vals, vecs = herm_eig(choi.matrix)
     k = choi.k
     kraus = []
-    for lam, v in zip(es.values, es.vectors.T):
+    for lam, v in zip(vals, vecs.T):
         if lam <= KRAUS_CUTOFF:
             break  # eigenvalues are descending
         kraus.append(np.sqrt(lam) * v.reshape(k, k).T)
@@ -427,14 +392,15 @@ def delta_apply(x, d: int, k: int) -> ComplexMatrix:
     return np.kron(compress(x, d, k), np.eye(d))
 
 
-def delta_compress(phi, d: int, k: int) -> DeltaCompression:
-    """Compress a channel on the composite space to a map on the grid.
+def delta_compress(phi, d: int, k: int) -> ChoiMatrix:
+    """Choi matrix of a channel on the composite space compressed to the grid.
 
     T(B)_ij = tr_d( Phi(I_d (x) B)_ij ). For a mixed-unitary ensemble T is
     the Kraus sum over (m, r, s) of weight p_m / d whose operator holds
     entry (r, s) of every d x d block of U_m, so its Choi matrix is one Gram
-    product. The result's Kraus `channel` and its `composed` ensemble, which
-    realises the lifted map of T, are built on first access.
+    product. kraus_from_choi gives T in Kraus form, and
+    weyl_sandwich(phi.weights, phi.unitaries, d, k) an ensemble realising
+    the lifted map of T.
     """
     apply, n = _as_apply(phi, d * k)
     if n != d * k:
@@ -444,9 +410,8 @@ def delta_compress(phi, d: int, k: int) -> DeltaCompression:
             raise ShapeMismatch("ensemble members must be non-empty")
         ops = phi.unitaries.reshape(-1, k, d, k, d).transpose(0, 2, 4, 1, 3)
         weights = np.repeat(phi.weights / d, d * d)
-        choi = ChoiMatrix(_gram_choi(weights, ops.reshape(-1, k, k)), k)
-        return DeltaCompression(choi, ensemble=phi)
-    return DeltaCompression(choi_of(lambda b: compress(apply(embed(b, d)), d, k), k))
+        return ChoiMatrix(_gram_choi(weights, ops.reshape(-1, k, k)), k)
+    return choi_of(lambda b: compress(apply(embed(b, d)), d, k), k)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 import time
@@ -151,6 +150,8 @@ def _cmd_factorise(args) -> int:
 
 def _cmd_mu(args) -> int:
     ens = _load_ensemble(args.tuples, UnitaryTupleEnsemble)
+    if ens.k == 0:
+        raise FileFormatError(f"{args.tuples}: tuples must have at least one entry")
     mu = mu_ensemble_from_tuples(ens)
     fileio.save_json(args.out, fileio.ensemble_to_json(mu))
     print(f"wrote mixed-unitary ensemble with {mu.size} members to {args.out}")
@@ -207,7 +208,7 @@ def _cmd_norms(args) -> int:
     if args.psd:
         results["psd_norm"] = schur_norm_psd(a)
     _emit(args, "norms", {"A": args.A}, results, t0)
-    print(json.dumps(fileio.rounded(results), sort_keys=True))
+    print(fileio.dumps(fileio.rounded(results)))
     return 0
 
 
@@ -246,7 +247,7 @@ def _cmd_biaverage(args) -> int:
         oracle = biaverage_pm_oracle(choi)
         results["oracle_max_diff"] = float(abs(b - oracle).max())
     _emit(args, "biaverage", {"choi": args.choi}, results, t0)
-    print(json.dumps(fileio.rounded(results), sort_keys=True))
+    print(fileio.dumps(fileio.rounded(results)))
     return 0
 
 
@@ -257,7 +258,7 @@ def _cmd_dilate(args) -> int:
         fileio.save_matrix(args.out, w)
         print(f"wrote {w.shape[0]}x{w.shape[1]} unitary dilation to {args.out}")
     else:
-        print(json.dumps(fileio.matrix_to_json(w)))
+        print(fileio.dumps(fileio.matrix_to_json(w)))
     return 0
 
 

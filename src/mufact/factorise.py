@@ -57,30 +57,6 @@ DIST_MEMO_SIZE = 8
 
 
 @dataclass
-class UnitaryTuple:
-    """A k-tuple of d x d unitaries, stored as a (k, d, d) stack."""
-
-    unitaries: np.ndarray
-
-    def __post_init__(self):
-        self.unitaries = _tuple_stack(self.unitaries, "kdd")
-
-    @property
-    def k(self) -> int:
-        return self.unitaries.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.unitaries.shape[1]
-
-    def check(self):
-        bad = _first_block(unitarity_defects(self.unitaries) > UNITARY_TOL)
-        if bad is not None:
-            raise NotUnitary(f"tuple entry {bad[0]} is not unitary within tolerance")
-        return self
-
-
-@dataclass
 class UnitaryTupleEnsemble:
     """Weighted collection of unitary tuples, stored as a (M, k, d, d) stack."""
 
@@ -141,8 +117,8 @@ def _grams(stack: np.ndarray) -> np.ndarray:
 
 
 def gram_matrix(t) -> np.ndarray:
-    """Gram matrix c_ij = tr_d(U_i* U_j) of a tuple of d x d matrices."""
-    return _grams(_tuple_stack(t.unitaries if isinstance(t, UnitaryTuple) else t, "kdd"))
+    """Gram matrix c_ij = tr_d(U_i* U_j) of a (k, d, d) stack of matrices."""
+    return _grams(_tuple_stack(t, "kdd"))
 
 
 def random_tuple_ensemble(k: int, d: int, atoms: int, rng) -> UnitaryTupleEnsemble:
@@ -353,8 +329,7 @@ def correction_pipeline(
     diag = blocks[:, range(k), range(k)]  # (M, k, d, d)
 
     c_tilde = np.einsum("m,mij->ij", phi.weights, _grams(np.conj(diag)))
-    compressed = delta_compress(phi, d, k)
-    via_choi = d_biaverage(compressed.choi)
+    via_choi = d_biaverage(delta_compress(phi, d, k))
     if np.abs(c_tilde - via_choi).max() > BIAVERAGE_CROSSCHECK_TOL:
         raise MufactError("compressed-map biaverage disagrees with block Grams")
 
@@ -489,26 +464,22 @@ def _atom_sweep(p, atoms, grams, resid):
     return atoms, grams, resid
 
 
-_HERM_BASIS: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _hermitian_basis(d: int) -> np.ndarray:
     """Orthogonal real basis of d x d Hermitian matrices, shape (d*d, d, d)."""
-    if d not in _HERM_BASIS:
-        out = np.zeros((d * d, d, d), dtype=complex)
-        n = 0
-        for a in range(d):
-            out[n, a, a] = 1.0
+    out = np.zeros((d * d, d, d), dtype=complex)
+    n = 0
+    for a in range(d):
+        out[n, a, a] = 1.0
+        n += 1
+    for a in range(d):
+        for b in range(a + 1, d):
+            out[n, a, b] = out[n, b, a] = 1.0
             n += 1
-        for a in range(d):
-            for b in range(a + 1, d):
-                out[n, a, b] = out[n, b, a] = 1.0
-                n += 1
-                out[n, a, b] = 1.0j
-                out[n, b, a] = -1.0j
-                n += 1
-        _HERM_BASIS[d] = out
-    return _HERM_BASIS[d]
+            out[n, a, b] = 1.0j
+            out[n, b, a] = -1.0j
+            n += 1
+    return out
 
 
 def _gn_polish(p, atoms, target, d: int, tol: float, iters: int = 60):

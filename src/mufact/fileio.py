@@ -1,10 +1,11 @@
 """JSON file formats for matrices, ensembles, certificates and run reports.
 
-Files are single-line JSON with sorted keys. Matrix entries are stored as
-[re, im] pairs, row major, at full float precision so artifacts round-trip
-exactly. Reports round every numeric result to 12 significant digits so
-repeated runs of the same command with the same seed produce byte-identical
-result sections.
+Files, and the JSON that commands print, are single-line JSON with sorted
+keys and never hold NaN or Infinity. Matrix entries are stored as [re, im]
+pairs, row major, at full float precision so artifacts round-trip exactly.
+Reports round every numeric result to 12 significant digits so repeated
+runs of the same command with the same seed produce byte-identical result
+sections.
 """
 
 from __future__ import annotations
@@ -16,14 +17,23 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, MufactError
 from .channels import MixedUnitaryEnsemble
 from .factorise import GramCertificate, UnitaryTupleEnsemble
 
 
-def save_json(path: str, obj) -> None:
+def dumps(obj) -> str:
+    """obj as single-line JSON with sorted keys; MufactError if it holds a
+    NaN or an infinity, which JSON cannot represent."""
     # json.dumps without indent runs CPython's C encoder; json.dump never does
-    text = json.dumps(obj, sort_keys=True)
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise MufactError(f"cannot write non-finite output as JSON: {exc}") from exc
+
+
+def save_json(path: str, obj) -> None:
+    text = dumps(obj)  # before opening, so a failure writes nothing
     try:
         with open(path, "w") as fh:
             fh.write(text + "\n")

@@ -7,8 +7,6 @@ and all randomness flows through explicitly seeded generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NoConvergence, NotHermitian, ShapeMismatch
@@ -36,16 +34,9 @@ def dagger(a: ComplexMatrix) -> ComplexMatrix:
     return np.conj(np.asarray(a)).T
 
 
-@dataclass
-class EigenSystem:
-    """Eigenvalues in descending order with matching eigenvector columns."""
-
-    values: np.ndarray
-    vectors: ComplexMatrix
-
-
-def herm_eig(a) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+def herm_eig(a) -> tuple[np.ndarray, ComplexMatrix]:
+    """Eigendecomposition (values, vectors) of a Hermitian matrix: values
+    descending, vectors the matching columns.
 
     The input must satisfy ||A - A*||_F <= 1e-10 * (1 + ||A||_F); anything
     less symmetric raises NotHermitian rather than being silently averaged.
@@ -60,7 +51,7 @@ def herm_eig(a) -> EigenSystem:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
     order = slice(None, None, -1)  # eigh is ascending
-    return EigenSystem(values=vals[order].copy(), vectors=vecs[:, order].copy())
+    return vals[order].copy(), vecs[:, order].copy()
 
 
 def svd(x) -> tuple[ComplexMatrix, np.ndarray, ComplexMatrix]:

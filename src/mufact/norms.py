@@ -123,9 +123,9 @@ def schur_norm_psd(c) -> float:
     Raises NotPSD when the symbol is not PSD within tolerance.
     """
     a = as_matrix(c)
-    es = herm_eig(a)
-    if below_psd_floor(es.values, a):
-        raise NotPSD(f"symbol has eigenvalue {es.values.min():.3e}")
+    vals = herm_eig(a)[0]
+    if below_psd_floor(vals, a):
+        raise NotPSD(f"symbol has eigenvalue {vals.min():.3e}")
     return float(max(0.0, np.real(np.diagonal(a)).max(initial=0.0)))
 
 

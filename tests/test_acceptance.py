@@ -22,6 +22,7 @@ from mufact import (
     depolarizing_ensemble,
     dist_upper_bound,
     halmos_dilate,
+    kraus_from_choi,
     lift_channel,
     lift_schur,
     membership_solve,
@@ -124,8 +125,8 @@ def test_04_delta_compression_identity_and_norm_bound():
             rng.dirichlet(np.ones(n)),
             [random_haar_unitary(d * k, rng) for _ in range(n)],
         )
-        dc = delta_compress(phi, d, k)
-        rep = verify_channel(dc.channel)
+        compressed = kraus_from_choi(delta_compress(phi, d, k))
+        rep = verify_channel(compressed)
         flags_ok = flags_ok and rep.cp and rep.tp and rep.unital
         nn = d * k
         e = np.zeros((nn, nn), dtype=complex)
@@ -133,7 +134,7 @@ def test_04_delta_compression_identity_and_norm_bound():
             for b in range(nn):
                 e[a, b] = 1.0
                 lhs = delta_apply(phi.apply(delta_apply(e, d, k)), d, k)
-                rhs = lift_channel(dc.channel, d, e)
+                rhs = lift_channel(compressed, d, e)
                 worst = max(worst, float(np.abs(lhs - rhs).max()))
                 e[a, b] = 0.0
     excess = 0.0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import mufact.channels as channels
-import mufact.factorise as factorise
 from mufact import (
     ChoiMatrix,
     DimensionTooLarge,
@@ -27,9 +26,7 @@ from mufact import (
     kraus_from_choi,
     lift_channel,
     lift_schur,
-    mu_ensemble_from_tuples,
     random_haar_unitary,
-    random_tuple_ensemble,
     rng_from_seed,
     to_blocks,
     verify_channel,
@@ -128,8 +125,35 @@ def test_kraus_apply_and_residuals():
     ch = KrausChannel([u])
     x = rand_complex((3, 3), rng_from_seed(5))
     assert np.allclose(ch.apply(x), u @ x @ u.conj().T, atol=1e-13)
-    assert ch.tp_residual() <= 1e-12
-    assert ch.unital_residual() <= 1e-12
+    rep = verify_channel(ch)
+    assert rep.tp_residual <= 1e-12
+    assert rep.unital_residual <= 1e-12
+
+
+@pytest.mark.parametrize("ops", [[], np.zeros((0, 2, 2)), [np.eye(2), np.eye(3)],
+                                 [np.eye(2), np.ones((2, 3))], [np.eye(2)[0]], np.eye(2)])
+def test_kraus_channel_rejects_empty_ragged_and_non_stack_input(ops):
+    with pytest.raises(ShapeMismatch):
+        KrausChannel(ops)
+
+
+def test_rectangular_kraus_operators_act_on_their_column_space():
+    # three 2x3 operators: a map from 3x3 to 2x2 matrices
+    rng = rng_from_seed(12)
+    ops = [rand_complex((2, 3), rng) for _ in range(3)]
+    ch = KrausChannel(ops)
+    assert ch.kraus.shape == (3, 2, 3) and ch.dim == 3
+    x = rand_complex((3, 3), rng)
+    want = sum(a @ x @ a.conj().T for a in ops)
+    assert np.abs(ch.apply(x) - want).max() <= 1e-13
+    # choi_of's E_ij loop: T(E_ij) = sum_m A_m[:, i] A_m[:, j]*, the Gram form
+    e = np.zeros((3, 3))
+    for i in range(3):
+        for j in range(3):
+            e[i, j] = 1.0
+            gram = sum(np.outer(a[:, i], a[:, j].conj()) for a in ops)
+            assert np.abs(ch.apply(e) - gram).max() <= 1e-13
+            e[i, j] = 0.0
 
 
 def test_choi_round_trip_preserves_action():
@@ -235,16 +259,14 @@ def test_delta_compress_produces_unital_channel_and_composed_witness():
         rng.dirichlet(np.ones(n)),
         [random_haar_unitary(d * k, rng) for _ in range(n)],
     ).check()
-    dc = delta_compress(phi, d, k)
-    rep = verify_channel(dc.channel)
+    compressed = kraus_from_choi(delta_compress(phi, d, k))
+    rep = verify_channel(compressed)
     assert rep.cp and rep.tp and rep.unital
-    # sandwiched ensemble realises the lifted compressed map; built on access
-    assert "composed" not in dc.__dict__
-    assert dc.composed is not None
-    assert dc.__dict__["composed"] is dc.composed
-    assert dc.composed.size == d * d * n * d * d
-    got = choi_of(dc.composed.apply, d * k)
-    want = choi_of(lambda x: lift_channel(dc.channel, d, x), d * k)
+    # the Weyl-sandwiched ensemble realises the lifted compressed map
+    composed = channels.weyl_sandwich(phi.weights, phi.unitaries, d, k)
+    assert composed.size == d * d * n * d * d
+    got = choi_of(composed.apply, d * k)
+    want = choi_of(lambda x: lift_channel(compressed, d, x), d * k)
     assert np.abs(got.matrix - want.matrix).max() <= 1e-9
 
 
@@ -274,8 +296,7 @@ def test_closed_form_delta_compress_matches_generic_branch(d, k, members):
     )
     fast = delta_compress(phi, d, k)
     generic = delta_compress(phi.apply, d, k)
-    assert np.abs(fast.choi.matrix - generic.choi.matrix).max() <= 1e-12
-    assert generic.composed is None
+    assert np.abs(fast.matrix - generic.matrix).max() <= 1e-12
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -297,20 +318,6 @@ def test_weyl_sandwich_orders_members_by_input_then_weyl_pair():
         assert out.weights[idx] == weights[m] / d ** 4
         want = lifted[a] @ us[m] @ lifted[b]
         assert np.abs(out.unitaries[idx] - want).max() <= 1e-15
-
-
-def test_correction_pipeline_leaves_composed_unbuilt(monkeypatch):
-    made = []
-
-    def recording(*args):
-        made.append(channels.delta_compress(*args))
-        return made[-1]
-
-    monkeypatch.setattr(factorise, "delta_compress", recording)
-    ens = random_tuple_ensemble(3, 2, 2, rng_from_seed(95))
-    factorise.correction_pipeline(ens.gram_average(), mu_ensemble_from_tuples(ens), 0.1, 2)
-    assert len(made) == 1
-    assert "composed" not in made[0].__dict__ and "channel" not in made[0].__dict__
 
 
 # ---------------------------------------------------------------------------

@@ -383,3 +383,57 @@ def test_negative_seed_is_a_usage_error(command):
 
 def test_the_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+# ---------------------------------------------------------------------------
+# outputs never hold NaN or Infinity
+
+
+BIG = [[1.0, 1e308], [1e308, 1.0]]  # its residuals overflow to inf
+
+
+def _files(tmp_path):
+    return sorted(p.name for p in tmp_path.iterdir())
+
+
+def test_factorise_on_an_overflowing_target_exits_5_and_writes_nothing(tmp_path):
+    c = str(tmp_path / "big.json")
+    fileio.save_matrix(c, np.array(BIG))
+    rc, out, err = run(["factorise", "--C", c, "--d", "1", "--restarts", "1",
+                        "--max-iters", "5", "--out", str(tmp_path / "rep")])
+    assert rc == 5 and "non-finite" in err and out == ""
+    assert _files(tmp_path) == ["big.json"]
+
+
+def test_correct_on_an_overflowing_target_exits_5_and_writes_nothing(tmp_path):
+    c = str(tmp_path / "big.json")
+    fileio.save_matrix(c, np.array(BIG))
+    phi = str(tmp_path / "phi.json")
+    fileio.save_json(phi, fileio.ensemble_to_json(mufact.depolarizing_ensemble(2)))
+    rc, out, err = run(["correct", "--C", c, "--phi", phi, "--epsilon", "0.1",
+                        "--out", str(tmp_path / "rep")])
+    assert rc == 5 and "non-finite" in err and out == ""
+    assert _files(tmp_path) == ["big.json", "phi.json"]
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_norms_on_an_overflowing_symbol_exits_5_and_prints_nothing(tmp_path, out):
+    a = str(tmp_path / "big.json")
+    fileio.save_matrix(a, np.array(BIG))
+    report = ["--out", str(tmp_path / "n.json")] if out else []
+    rc, printed, err = run(["norms", "--A", a] + report)
+    assert rc == 5 and "non-finite" in err and printed == ""
+    assert _files(tmp_path) == ["big.json"]
+
+
+# ---------------------------------------------------------------------------
+# mu on empty tuples
+
+
+def test_mu_on_tuples_with_no_entries_exits_2_and_writes_nothing(tmp_path):
+    tuples = _write(tmp_path / "t.json", {"d": 2, "k": 0, "weights": [1.0], "tuples": [[]]})
+    assert fileio.load_ensemble(tuples).k == 0  # a valid file
+    out = tmp_path / "mu.json"
+    rc, _, err = run(["mu", "--tuples", tuples, "--out", str(out)])
+    assert rc == 2 and "at least one entry" in err
+    assert not out.exists()

@@ -12,7 +12,6 @@ from mufact import (
     NotBlockDiagonal,
     NotUnitary,
     ShapeMismatch,
-    UnitaryTuple,
     UnitaryTupleEnsemble,
     choi_of,
     correction_pipeline,
@@ -54,7 +53,6 @@ def test_gram_rejects_bad_shapes():
 
 
 D0_BUILDERS = {
-    "tuple": lambda: UnitaryTuple(np.zeros((2, 0, 0))),
     "ensemble": lambda: UnitaryTupleEnsemble([0.5, 0.5], np.zeros((2, 3, 0, 0))),
     "gram_matrix": lambda: gram_matrix(np.zeros((2, 0, 0))),
 }
@@ -65,11 +63,6 @@ def test_a_stack_of_0x0_entries_is_rejected(entry):
     # every Gram entry of such a stack is 0/0
     with pytest.raises(ShapeMismatch, match=r"with d >= 1, got \((2, 3|2), 0, 0\)$"):
         D0_BUILDERS[entry]()
-
-
-def test_tuple_check_rejects_non_unitary():
-    with pytest.raises(NotUnitary):
-        UnitaryTuple(np.zeros((2, 3, 3))).check()
 
 
 def test_ensemble_gram_average_and_check():

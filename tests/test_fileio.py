@@ -10,6 +10,7 @@ from mufact import (
     FileFormatError,
     GramCertificate,
     MixedUnitaryEnsemble,
+    MufactError,
     UnitaryTupleEnsemble,
     random_tuple_ensemble,
     rng_from_seed,
@@ -162,6 +163,15 @@ def test_save_json_writes_one_line_with_sorted_keys(tmp_path):
     path = tmp_path / "o.json"
     fileio.save_json(str(path), {"b": [1.5, {"z": 2, "y": 3}], "a": 0.1})
     assert path.read_text() == '{"a": 0.1, "b": [1.5, {"y": 3, "z": 2}]}\n'
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(np.inf)])
+def test_save_json_refuses_nan_and_infinity_and_writes_nothing(tmp_path, bad):
+    path = tmp_path / "o.json"
+    with pytest.raises(MufactError, match="non-finite") as exc:
+        fileio.save_json(str(path), {"ok": 1.0, "nested": [[0.5, bad]]})
+    assert not isinstance(exc.value, FileFormatError)  # exit 5, not 2
+    assert not path.exists()
 
 
 def test_save_json_is_deterministic(tmp_path):
