@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import ComplexMatrix, as_matrix, frob, herm_eig, unitarity_defects
-from .linalg import below_psd_floor
+from .linalg import below_psd_floor, tol_scale
 
 # |sum of weights - 1|, ||U* U - I||_F and |c_ii - 1| allowed by the checks
 WEIGHT_TOL = 1e-12
@@ -81,9 +81,10 @@ def embed(b, d: int) -> ComplexMatrix:
 def check_weights(weights: np.ndarray) -> None:
     """Raise unless the weights sum to 1 within WEIGHT_TOL and are all strictly positive."""
     total = float(np.sum(weights))
-    if abs(total - 1.0) > WEIGHT_TOL:
+    # the checks are written as not (x <= tol) and not (x > 0), so a NaN fails them
+    if not abs(total - 1.0) <= WEIGHT_TOL:
         raise MufactError(f"weights sum to {total!r}, expected 1")
-    if weights.min(initial=1.0) <= 0.0:
+    if not weights.min(initial=1.0) > 0.0:
         raise MufactError("weights must be strictly positive")
 
 
@@ -136,9 +137,13 @@ class ChoiMatrix:
 
     def cp_check(self) -> tuple[float, bool]:
         """CP residual (the most negative eigenvalue's size, 0 when PSD), and
-        whether it is within CHANNEL_TOL * (1 + ||Choi||_F)."""
-        res = float(max(0.0, -herm_eig(self.matrix)[0].min(initial=0.0)))
-        return res, res <= CHANNEL_TOL * (1.0 + frob(self.matrix))
+        whether it is within CHANNEL_TOL * (1 + ||Choi||_F); never when that
+        scale or an eigenvalue is not finite."""
+        vals = herm_eig(self.matrix)[0]
+        res = float(max(0.0, -vals.min(initial=0.0)))
+        scale = tol_scale(self.matrix)
+        finite = np.isfinite(scale) and np.isfinite(vals).all()
+        return res, bool(finite and res <= CHANNEL_TOL * scale)
 
 
 @dataclass
@@ -169,7 +174,7 @@ class MixedUnitaryEnsemble:
     def check(self):
         """Raise unless weights form a positive convex combination of unitaries."""
         check_weights(self.weights)
-        bad = np.flatnonzero(unitarity_defects(self.unitaries) > UNITARY_TOL)
+        bad = np.flatnonzero(~(unitarity_defects(self.unitaries) <= UNITARY_TOL))
         if bad.size:
             raise NotUnitary(f"ensemble member {bad[0]} is not unitary within tolerance")
         return self
@@ -201,7 +206,7 @@ class SchurSymbol:
         if below_psd_floor(vals, self.c):
             raise NotCP(f"symbol has eigenvalue {vals.min():.3e}")
         off = np.abs(np.diagonal(self.c) - 1.0).max(initial=0.0)
-        if off > DIAG_TOL:
+        if not off <= DIAG_TOL:
             raise MufactError(f"diagonal deviates from 1 by {off:.3e}")
         return self
 
@@ -305,13 +310,16 @@ def choi_of(t, dim: int | None = None) -> ChoiMatrix:
     """Choi matrix of a channel-like object.
 
     Ensembles and Kraus channels go through one Gram product; any other map
-    is applied to every E_ij. A ChoiMatrix is returned as it is.
+    is applied to every E_ij. A ChoiMatrix is returned as it is. Kraus
+    operators must be square, as a ChoiMatrix maps k x k to k x k matrices.
     """
     if isinstance(t, ChoiMatrix):
         return t
     if isinstance(t, MixedUnitaryEnsemble):
         return ChoiMatrix(_gram_choi(t.weights, t.unitaries), t.dim)
     if isinstance(t, KrausChannel):
+        if t.kraus.shape[1] != t.kraus.shape[2]:
+            raise ShapeMismatch(f"a Choi matrix needs square operators, got {t.kraus.shape[1:]}")
         return ChoiMatrix(_gram_choi(np.ones(len(t.kraus)), t.kraus), t.dim)
     apply, k = _as_apply(t, dim)
     blocks = np.empty((k, k, k, k), dtype=complex)

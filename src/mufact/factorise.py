@@ -83,7 +83,7 @@ class UnitaryTupleEnsemble:
 
     def check(self):
         check_weights(self.weights)
-        bad = _first_block(unitarity_defects(self.tuples) > UNITARY_TOL)
+        bad = _first_block(~(unitarity_defects(self.tuples) <= UNITARY_TOL))
         if bad is not None:
             raise NotUnitary(f"tuple {bad[0]} entry {bad[1]} is not unitary within tolerance")
         return self
@@ -222,17 +222,17 @@ def tuples_from_ensemble(
     off = blocks.copy()
     off[:, range(k), range(k)] = 0.0
     worst_off = np.abs(off).max(initial=0.0)
-    if worst_off > tol:
+    if not worst_off <= tol:
         raise NotBlockDiagonal(f"off-diagonal block of size {worst_off:.3e}")
     diag = blocks[:, range(k), range(k)]  # (size, k, d, d)
-    bad = _first_block(unitarity_defects(diag) > tol)
+    bad = _first_block(~(unitarity_defects(diag) <= tol))
     if bad is not None:
         raise NotUnitary(f"diagonal block {bad} is not unitary")
     # entry ((i, r, a), (j, s, b)) is sum_m p_m V_i[r, a] conj(V_j[s, b])
     w = diag.reshape(ensemble.size, k * d * d)
     got = (w.T * ensemble.weights) @ np.conj(w)
     worst = np.abs(got - np.kron(target / d, np.eye(d * d))).max(initial=0.0)
-    if worst > tol:
+    if not worst <= tol:
         raise NotAFactorisation(
             f"ensemble action deviates from the lifted channel by {worst:.3e}"
         )

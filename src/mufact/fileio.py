@@ -72,16 +72,6 @@ def matrix_to_json(m) -> dict:
     }
 
 
-def _is_number(x) -> bool:
-    """A finite JSON number; JSON booleans load as bool, a subclass of int."""
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 def _count(obj: dict, key: str) -> int:
     """A non-negative integer field of a JSON object."""
     value = obj.get(key)
@@ -90,41 +80,55 @@ def _count(obj: dict, key: str) -> int:
     return value
 
 
-def matrix_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise FileFormatError("matrix value must be an object")
-    rows, cols, entries = _count(obj, "rows"), _count(obj, "cols"), obj.get("entries")
-    if not isinstance(entries, list):
-        raise FileFormatError("matrix entries must be a list")
-    if len(entries) != rows * cols:
-        raise FileFormatError(
-            f"matrix advertises {rows}x{cols} but carries {len(entries)} entries"
-        )
-    # one C-level pass each over types and lengths; the entry-by-entry
-    # search runs only when these or the finiteness check fail, to name the
-    # first bad entry
-    if not (
-        set(map(type, entries)) <= {list}
-        and set(map(len, entries)) <= {2}
-        and set(map(type, chain.from_iterable(entries))) <= {int, float}
-    ):
-        _check_pairs(entries)
+def _floats(values: list, error) -> np.ndarray:
+    """A list of finite JSON numbers as floats, in one C-level pass; when it
+    fails, an item-by-item search raises FileFormatError(error(n)) at the
+    first item n that is not one."""
     try:
-        flat = np.fromiter(chain.from_iterable(entries), float, 2 * len(entries))
+        if set(map(type, values)) <= {int, float}:
+            out = np.fromiter(values, float, len(values))
+            if np.isfinite(out).all():
+                return out
     except OverflowError:  # an integer beyond the float range
-        flat = None
-    if flat is None or not np.isfinite(flat).all():
-        _check_pairs(entries)  # raises
-    return flat.view(complex).reshape(rows, cols)
+        pass
+    for n, x in enumerate(values):
+        try:  # JSON booleans load as bool, a subclass of int
+            ok = not isinstance(x, bool) and math.isfinite(x)
+        except (TypeError, OverflowError):  # not a number, or an integer beyond the float range
+            ok = False
+        if not ok:
+            raise FileFormatError(error(n))
+    return np.array(values, dtype=float)  # numpy floats, which JSON never holds
 
 
-def _check_pairs(entries) -> None:
-    """Raise on the first entry that is not an [re, im] pair of finite numbers."""
-    for n, pair in enumerate(entries):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise FileFormatError(f"entry {n} is not an [re, im] pair")
-        if not (_is_number(pair[0]) and _is_number(pair[1])):
-            raise FileFormatError(f"entry {n} is not a finite number")
+def _matrices_from_json(objs: list, rows=None, cols=None) -> np.ndarray:
+    """(len(objs), rows, cols) stack of matrix objects that all advertise
+    rows x cols (by default the first one's size) and carry that many
+    [re, im] pairs of finite numbers, parsed in one pass. Errors name the
+    matrix by its place in objs and the entry by its row-major place."""
+    pairs = []
+    for m, obj in enumerate(objs):
+        if not isinstance(obj, dict):
+            raise FileFormatError(f"matrix {m} is not an object")
+        r, c, entries = _count(obj, "rows"), _count(obj, "cols"), obj.get("entries")
+        if rows is None:
+            rows, cols = r, c
+        if (r, c) != (rows, cols) or not isinstance(entries, list) or len(entries) != r * c:
+            raise FileFormatError(f"matrix {m} is not {rows}x{cols} with {rows * cols} entries")
+        pairs += entries
+    size = rows * cols
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        n = next(n for n, p in enumerate(pairs) if type(p) is not list or len(p) != 2)
+        raise FileFormatError(f"matrix {n // size} entry {n % size} is not an [re, im] pair")
+    flat = _floats(
+        list(chain.from_iterable(pairs)),
+        lambda n: f"matrix {n // 2 // size} entry {n // 2 % size} is not a finite number",
+    )
+    return flat.view(complex).reshape(len(objs), rows, cols)
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    return _matrices_from_json([obj])[0]
 
 
 def save_matrix(path: str, m) -> None:
@@ -162,9 +166,7 @@ def _weights_from_json(obj, count: int) -> np.ndarray:
     ws = obj.get("weights")
     if not isinstance(ws, list) or len(ws) != count:
         raise FileFormatError("weight list is missing or has the wrong length")
-    if not all(_is_number(w) for w in ws):
-        raise FileFormatError("weights must be finite numbers")
-    return np.asarray(ws, dtype=float)
+    return _floats(ws, lambda n: f"weights[{n}] is not a finite number")
 
 
 def ensemble_from_json(obj) -> MixedUnitaryEnsemble | UnitaryTupleEnsemble:
@@ -177,10 +179,10 @@ def ensemble_from_json(obj) -> MixedUnitaryEnsemble | UnitaryTupleEnsemble:
             raise FileFormatError("unitary list is missing or empty")
         if "n" in obj and _count(obj, "n") != len(us):
             raise FileFormatError("field n disagrees with the unitary count")
-        mats = [matrix_from_json(u) for u in us]
-        if (n := mats[0].shape[0]) == 0 or any(m.shape != (n, n) for m in mats):
-            raise FileFormatError("ensemble members must be non-empty, square and same-sized")
-        return MixedUnitaryEnsemble(_weights_from_json(obj, len(mats)), np.stack(mats))
+        stack = _matrices_from_json(us)
+        if stack.shape[1] == 0 or stack.shape[1] != stack.shape[2]:
+            raise FileFormatError("ensemble members must be non-empty and square")
+        return MixedUnitaryEnsemble(_weights_from_json(obj, len(us)), stack)
     if "tuples" in obj:
         d, k = _count(obj, "d"), _count(obj, "k")
         if d == 0:
@@ -188,15 +190,11 @@ def ensemble_from_json(obj) -> MixedUnitaryEnsemble | UnitaryTupleEnsemble:
         ts = obj["tuples"]
         if not isinstance(ts, list) or not ts:
             raise FileFormatError("tuple list is missing or empty")
-        stack = np.empty((len(ts), k, d, d), dtype=complex)
         for m, entry in enumerate(ts):
             if not isinstance(entry, list) or len(entry) != k:
                 raise FileFormatError(f"tuple {m} does not have k={k} entries")
-            for i, mat in enumerate(entry):
-                a = matrix_from_json(mat)
-                if a.shape != (d, d):
-                    raise FileFormatError(f"tuple {m} entry {i} is not {d}x{d}")
-                stack[m, i] = a
+        # matrix m * k + i of the stack is entry i of tuple m
+        stack = _matrices_from_json(list(chain.from_iterable(ts)), d, d).reshape(len(ts), k, d, d)
         return UnitaryTupleEnsemble(_weights_from_json(obj, len(ts)), stack)
     raise FileFormatError("ensemble object has neither 'unitaries' nor 'tuples'")
 
@@ -226,19 +224,16 @@ def certificate_from_json(obj) -> GramCertificate:
         ensemble = ensemble_from_json(obj["ensemble"])
         if not isinstance(ensemble, UnitaryTupleEnsemble):
             raise FileFormatError("certificate ensemble must be in tuple form")
-        achieved = matrix_from_json(obj["achieved"])
-        target = matrix_from_json(obj["target"])
-        if achieved.shape != (ensemble.k,) * 2 or target.shape != achieved.shape:
-            raise FileFormatError("certificate matrices must be k x k for the ensemble's k")
-        residuals = obj["residual_fro"], obj["residual_max"]
-        if not all(_is_number(r) for r in residuals):
-            raise FileFormatError("certificate residuals must be finite numbers")
+        k = ensemble.k
+        achieved, target = _matrices_from_json([obj["achieved"], obj["target"]], k, k)
+        residuals = [obj["residual_fro"], obj["residual_max"]]
+        fro, top = _floats(residuals, lambda n: "certificate residuals must be finite numbers")
         return GramCertificate(
             ensemble=ensemble,
             achieved=achieved,
             target=target,
-            residual_fro=float(residuals[0]),
-            residual_max=float(residuals[1]),
+            residual_fro=float(fro),
+            residual_max=float(top),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad certificate object: {exc}") from exc

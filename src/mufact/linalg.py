@@ -30,6 +30,18 @@ def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
+def tol_scale(a) -> float:
+    """1 + ||A||_F for relative tolerances, as 1 + m * ||A / m||_F with
+    m = max |a_ij| where squaring the entries overflows; inf or NaN only when
+    ||A||_F is beyond the float range or an entry is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are answers here
+        f = frob(a)
+        if f == np.inf:
+            m = float(np.abs(a).max())
+            f = m * frob(np.asarray(a) / m)
+    return 1.0 + f
+
+
 def dagger(a: ComplexMatrix) -> ComplexMatrix:
     return np.conj(np.asarray(a)).T
 
@@ -39,12 +51,13 @@ def herm_eig(a) -> tuple[np.ndarray, ComplexMatrix]:
     descending, vectors the matching columns.
 
     The input must satisfy ||A - A*||_F <= 1e-10 * (1 + ||A||_F); anything
-    less symmetric raises NotHermitian rather than being silently averaged.
+    less symmetric, or NaN, raises NotHermitian rather than being silently
+    averaged.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
-    if frob(m - dagger(m)) > HERM_TOL * (1.0 + frob(m)):
+    if not frob(m - dagger(m)) <= HERM_TOL * tol_scale(m):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     try:
         vals, vecs = np.linalg.eigh(m)
@@ -70,8 +83,11 @@ def svd(x) -> tuple[ComplexMatrix, np.ndarray, ComplexMatrix]:
 
 
 def below_psd_floor(values: np.ndarray, a) -> bool:
-    """Whether eigenvalues `values` of A dip below -PSD_FLOOR * (1 + ||A||_F)."""
-    return bool(values.min(initial=0.0) < -PSD_FLOOR * (1.0 + frob(a)))
+    """Whether eigenvalues `values` of A dip below -PSD_FLOOR * (1 + ||A||_F),
+    or that floor or an eigenvalue is not finite."""
+    floor = -PSD_FLOOR * tol_scale(a)
+    finite = np.isfinite(floor) and np.isfinite(values).all()
+    return not (finite and values.min(initial=0.0) >= floor)
 
 
 def op_norm(x) -> float:

@@ -102,9 +102,9 @@ class NormEstimate:
         if not fits:
             raise MufactError(f"the witnesses do not fit a symbol of shape {m.shape}")
         for v in (x, y):
-            if v.min() < 0.0 or abs(np.linalg.norm(v) - 1.0) > WITNESS_TOL:
+            if not (v.min() >= 0.0 and abs(np.linalg.norm(v) - 1.0) <= WITNESS_TOL):
                 raise MufactError("lower-end weights are not unit and nonnegative")
-        if unitarity_defects(w) > UNITARY_TOL:
+        if not unitarity_defects(w) <= UNITARY_TOL:
             raise MufactError("lower-end witness is not unitary")
         lower = abs(x @ (m * w) @ y)
         if isinstance(self.upper_witness, str):
@@ -112,7 +112,7 @@ class NormEstimate:
         else:
             upper = _factor_bound(m, r, c)[0]
         for end, fresh, given in (("lower", lower, self.lower), ("upper", upper, self.upper)):
-            if abs(fresh - given) > WITNESS_TOL * self.upper:
+            if not abs(fresh - given) <= WITNESS_TOL * self.upper:
                 raise MufactError(f"{end} end {given!r} does not reproduce: witness gives {fresh!r}")
 
 

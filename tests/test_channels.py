@@ -156,6 +156,13 @@ def test_rectangular_kraus_operators_act_on_their_column_space():
             e[i, j] = 0.0
 
 
+def test_a_choi_matrix_needs_square_kraus_operators():
+    ch = KrausChannel(np.ones((2, 2, 3)))
+    for build in (choi_of, verify_channel):
+        with pytest.raises(ShapeMismatch, match=r"needs square operators, got \(2, 3\)"):
+            build(ch)
+
+
 def test_choi_round_trip_preserves_action():
     rng = rng_from_seed(6)
     ops = [rand_complex((3, 3), rng) * 0.4 for _ in range(2)]
@@ -221,12 +228,32 @@ def test_ensemble_check_rejects_bad_weights_and_members():
         MixedUnitaryEnsemble([0.5, 0.5], [u[0], 2.0 * u[1]]).check()
 
 
+@pytest.mark.parametrize("weights", [[np.nan], [0.5, np.nan]])
+def test_ensemble_check_rejects_nan_weights(weights):
+    u = weyl_unitaries(2)[: len(weights)]
+    with pytest.raises(MufactError, match="weights"):
+        MixedUnitaryEnsemble(weights, u).check()
+
+
+def test_ensemble_check_rejects_a_nan_member():
+    u = weyl_unitaries(2)[:2].copy()
+    u[1, 0, 0] = np.nan
+    with pytest.raises(NotUnitary, match="member 1"):
+        MixedUnitaryEnsemble([0.5, 0.5], u).check()
+
+
 def test_schur_symbol_check():
     SchurSymbol(np.eye(3)).check()
     with pytest.raises(NotCP):
         SchurSymbol([[1.0, 2.0], [2.0, 1.0]]).check()
     with pytest.raises(MufactError):
         SchurSymbol(np.diag([1.0, 0.5])).check()
+
+
+def test_schur_symbol_check_scales_its_floor_without_overflow():
+    # squaring its entries overflows, though ||C||_F = 1.4e308 is a float
+    with pytest.raises(NotCP, match=r"-1\.000e\+308"):
+        SchurSymbol([[1.0, 1e308], [1e308, 1.0]]).check()
 
 
 def test_schur_symbol_check_accepts_the_empty_symbol():
@@ -340,6 +367,18 @@ def test_biaverage_rejects_non_cp():
     swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
     with pytest.raises(NotCP):
         d_biaverage(ChoiMatrix(swap, 2))
+
+
+# 1e308 times a matrix of trace 0, so not PSD; its Frobenius norm, 4e308,
+# is beyond the float range
+HUGE_CHOI = 1e308 * np.array([[1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1], [1, 1, 1, -1]])
+
+
+def test_cp_check_fails_when_the_choi_norm_is_not_a_float():
+    choi = ChoiMatrix(HUGE_CHOI, 2)
+    assert choi.cp_check()[1] is False
+    with pytest.raises(NotCP):
+        d_biaverage(choi)
 
 
 def test_sign_oracle_dimension_cap():

@@ -426,6 +426,22 @@ def test_norms_on_an_overflowing_symbol_exits_5_and_prints_nothing(tmp_path, out
     assert _files(tmp_path) == ["big.json"]
 
 
+def test_verify_correlation_on_a_matrix_whose_norm_squares_overflow_exits_4(tmp_path):
+    c = str(tmp_path / "big.json")
+    fileio.save_matrix(c, np.array(BIG))
+    rc, out, _ = run(["verify", "--what", "correlation", c])
+    assert rc == 4 and "FAIL (symbol has eigenvalue -1.000e+308)" in out
+
+
+def test_biaverage_on_a_choi_matrix_whose_norm_overflows_exits_5(tmp_path):
+    # 1e308 times a matrix of trace 0: not PSD, and its Frobenius norm is 4e308
+    m = 1e308 * np.array([[1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1], [1, 1, 1, -1]])
+    choi = str(tmp_path / "choi.json")
+    fileio.save_matrix(choi, m)
+    rc, out, err = run(["biaverage", "--choi", choi])
+    assert rc == 5 and out == "" and "negative eigenvalue" in err
+
+
 # ---------------------------------------------------------------------------
 # mu on empty tuples
 

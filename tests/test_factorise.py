@@ -75,6 +75,16 @@ def test_ensemble_gram_average_and_check():
         UnitaryTupleEnsemble(ens.weights * 0.9, ens.tuples).check()
 
 
+def test_tuple_ensemble_check_rejects_nan_entries():
+    ens = random_tuple_ensemble(2, 2, 2, rng_from_seed(36))
+    tuples = ens.tuples.copy()
+    tuples[1, 0] = np.nan
+    with pytest.raises(NotUnitary, match="tuple 1 entry 0"):
+        UnitaryTupleEnsemble(ens.weights, tuples).check()
+    with pytest.raises(NotUnitary, match="tuple 0 entry 0"):
+        UnitaryTupleEnsemble(ens.weights, np.full_like(tuples, np.nan)).check()
+
+
 # ---------------------------------------------------------------------------
 # certificates
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mufact import (
     MixedUnitaryEnsemble,
     MufactError,
     UnitaryTupleEnsemble,
+    mu_ensemble_from_tuples,
     random_tuple_ensemble,
     rng_from_seed,
     verify_certificate,
@@ -212,3 +214,64 @@ def test_matrix_from_json_names_the_first_bad_entry():
         entries[n] = bad
         with pytest.raises(FileFormatError, match=f"entry {n} .*{reason}"):
             fileio.matrix_from_json({"rows": 2, "cols": 2, "entries": entries})
+
+
+def _entrywise(obj):
+    """The reference parse of one matrix object: complex(re, im) per entry."""
+    entries = [complex(re, im) for re, im in obj["entries"]]
+    return np.array(entries, dtype=complex).reshape(obj["rows"], obj["cols"])
+
+
+def test_both_ensemble_forms_parse_bit_for_bit_like_one_matrix_at_a_time():
+    tup = json.loads(json.dumps(fileio.tuple_ensemble_to_json(
+        random_tuple_ensemble(3, 2, 4, rng_from_seed(57))
+    )))
+    # integers, signed zeros and a subnormal, as a file may hold them
+    for n, pair in enumerate([[-0.0, 0.0], [3, -2], [5e-324, -0.0], [2 ** 60, 1e308]]):
+        tup["tuples"][n][n % 3]["entries"][n] = pair
+    got = fileio.ensemble_from_json(tup)
+    want = np.array([[_entrywise(m) for m in t] for t in tup["tuples"]])
+    assert got.tuples.tobytes() == want.tobytes()
+    assert got.weights.tobytes() == np.array(tup["weights"]).tobytes()
+    mu = json.loads(json.dumps(fileio.ensemble_to_json(
+        mu_ensemble_from_tuples(random_tuple_ensemble(2, 2, 3, rng_from_seed(58)))
+    )))
+    got = fileio.ensemble_from_json(mu)
+    assert got.unitaries.tobytes() == np.array([_entrywise(m) for m in mu["unitaries"]]).tobytes()
+    assert got.weights.tobytes() == np.array(mu["weights"]).tobytes()
+
+
+def test_a_unitary_list_with_a_member_of_another_size_is_rejected():
+    ens = fileio.ensemble_to_json(MixedUnitaryEnsemble(np.full(4, 0.25), weyl_unitaries(2)))
+    for other in (np.eye(3), np.eye(1), np.ones((2, 3))):
+        bad = json.loads(json.dumps(ens))
+        bad["unitaries"][2] = fileio.matrix_to_json(other)
+        with pytest.raises(FileFormatError, match="matrix 2 is not 2x2"):
+            fileio.ensemble_from_json(bad)
+
+
+@pytest.mark.parametrize("form", ["unitary", "tuple"])
+@pytest.mark.parametrize("bad, reason", [
+    ([math.nan, 0.0], "a finite number"),
+    ([0.0, 10 ** 400], "a finite number"),
+    ([True, 0.0], "a finite number"),
+    ([1.0], r"an \[re, im\] pair"),
+    ("ab", r"an \[re, im\] pair"),
+])
+def test_a_bad_entry_in_a_later_matrix_is_named_by_matrix_and_entry(form, bad, reason):
+    if form == "unitary":
+        obj = fileio.ensemble_to_json(MixedUnitaryEnsemble(np.full(4, 0.25), weyl_unitaries(2)))
+        mats = obj["unitaries"]
+    else:  # 2 tuples of 2 entries, numbered tuple by tuple
+        obj = fileio.tuple_ensemble_to_json(random_tuple_ensemble(2, 2, 2, rng_from_seed(59)))
+        mats = list(chain.from_iterable(obj["tuples"]))
+    mats[3]["entries"][2] = bad
+    with pytest.raises(FileFormatError, match=f"^matrix 3 entry 2 is not {reason}$"):
+        fileio.ensemble_from_json(obj)
+
+
+def test_a_bad_weight_is_named():
+    ens = fileio.ensemble_to_json(MixedUnitaryEnsemble(np.full(4, 0.25), weyl_unitaries(2)))
+    for bad in (math.nan, "0.25", None, 10 ** 400):
+        with pytest.raises(FileFormatError, match=r"^weights\[1\] is not a finite number$"):
+            fileio.ensemble_from_json(dict(ens, weights=[0.25, bad, 0.25, 0.25]))

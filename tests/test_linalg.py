@@ -13,7 +13,7 @@ from mufact import (
     rng_from_seed,
     svd,
 )
-from mufact.linalg import random_haar_unitaries
+from mufact.linalg import below_psd_floor, frob, random_haar_unitaries, tol_scale
 
 
 def rand_herm(n, rng):
@@ -33,6 +33,32 @@ def test_herm_eig_descending_and_reconstructs():
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         herm_eig([[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_herm_eig_rejects_nan():
+    with pytest.raises(NotHermitian):
+        herm_eig([[np.nan, 0.0], [0.0, 1.0]])
+
+
+def test_tol_scale_is_one_plus_the_frobenius_norm_without_overflow():
+    a = rand_herm(4, rng_from_seed(9))
+    assert tol_scale(a) == 1.0 + frob(a)  # the same float where frob does not overflow
+    big = np.array([[1.0, 1e308], [1e308, 1.0]])
+    with np.errstate(over="ignore"):
+        assert frob(big) == np.inf
+    assert tol_scale(big) == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-15)
+    assert tol_scale(1e308 * np.ones((4, 4))) == np.inf
+    assert np.isnan(tol_scale([[np.inf, 0.0], [0.0, 1.0]]))
+    assert np.isnan(tol_scale([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_below_psd_floor_fails_non_finite_floors_and_eigenvalues():
+    big = np.array([[1.0, 1e308], [1e308, 1.0]])
+    assert below_psd_floor(herm_eig(big)[0], big)  # -1e308 against a floor of -1.4e298
+    assert below_psd_floor(np.array([1.0, 0.0]), 1e308 * np.ones((4, 4)))
+    assert below_psd_floor(np.array([1.0, np.nan]), np.eye(2))
+    assert below_psd_floor(np.array([np.inf, 1.0]), np.eye(2))
+    assert not below_psd_floor(np.array([1.0, -1e-12]), np.eye(2))
 
 
 def test_herm_eig_rejects_non_square():

@@ -207,6 +207,22 @@ def test_a_tampered_witness_fails_check():
         replace(est, upper_witness=(r[:, :-1], c)).check(a)
 
 
+@pytest.mark.parametrize("where", ["x", "y", "w", "r", "c"])
+def test_a_nan_witness_fails_check(where):
+    a = _residual(12)
+    est = schur_cb_norm(a)
+    parts = dict(zip("xyw", est.lower_witness)) | dict(zip("rc", est.upper_witness))
+    parts = {name: v.copy() for name, v in parts.items()}
+    parts[where].flat[0] = np.nan
+    tampered = replace(
+        est,
+        lower_witness=(parts["x"], parts["y"], parts["w"]),
+        upper_witness=(parts["r"], parts["c"]),
+    )
+    with pytest.raises(MufactError):
+        tampered.check(a)
+
+
 def test_the_entry_witness_is_a_cyclic_shift_at_the_largest_entry():
     a = np.array([[0.5, 0.1, 0.0], [0.2, 0.3, -2.0j], [1.0, 0.0, 0.4]])
     est = schur_cb_norm(a)
@@ -369,6 +385,12 @@ def test_schur_norm_psd_is_max_diagonal():
     assert schur_norm_psd(np.diag([1.0, -1e-12])) == 1.0
     with pytest.raises(NotPSD):
         schur_norm_psd([[1.0, 2.0], [2.0, 1.0]])
+
+
+def test_schur_norm_psd_rejects_a_symbol_whose_norm_squares_overflow():
+    # squaring its entries overflows, though ||C||_F = 1.4e308 is a float
+    with pytest.raises(NotPSD):
+        schur_norm_psd([[1.0, 1e308], [1e308, 1.0]])
 
 
 def test_superop_lb_on_identity_like_maps():
