@@ -28,6 +28,7 @@ from .linalg import (
     as_matrix,
     frob,
     random_haar_unitaries,
+    require_finite,
     rng_from_seed,
     svd,
     unitarity_defects,
@@ -262,6 +263,7 @@ def halmos_dilate(x) -> np.ndarray:
     m = np.asarray(x, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ShapeMismatch(f"dilation needs square matrices, got shape {m.shape}")
+    require_finite(m, "dilation input")
     d = m.shape[-1]
     nrm = np.linalg.svd(m, compute_uv=False).max(axis=-1, initial=0.0)
     at = _first_block(nrm > 1.0 + DILATION_TOL)
@@ -620,7 +622,6 @@ def _solve_single(target, d: int, m_cnt: int, max_iters: int, tol: float, rng):
     grams = _grams(atoms)
     resid = np.einsum("m,mij->ij", p, grams) - target
     f = float(np.vdot(resid, resid).real)
-    next_escape = 40
     for it in range(1, max_iters + 1):
         f_prev = f
         p, _ = _weight_update(p, grams, target)
@@ -631,12 +632,12 @@ def _solve_single(target, d: int, m_cnt: int, max_iters: int, tol: float, rng):
         if f <= tol * tol:
             return f, p, atoms
         stalled = f_prev - f < max(tol * tol, 1e-3 * f)
-        if it >= next_escape or stalled:
+        # escape at iterations 1, 2, 4, 8, ... and after a stall
+        if stalled or it & (it - 1) == 0:
             f, p, atoms = _polish_escape(f, p, atoms, grams, target, d, tol)
             if f <= tol * tol or stalled:
                 return f, p, atoms
             grams = _grams(atoms)
-            next_escape = 2 * it
     return f, p, atoms
 
 
@@ -664,14 +665,19 @@ def membership_solve(
 
     Alternates exact weight steps on the simplex (Wolfe's nearest-point
     algorithm) with per-atom polar updates, from `restarts` independent
-    seeded starts. Restarts run in index order and the search stops at the
+    seeded starts. At iterations 1, 2, 4, 8, ... and after a stall (an
+    iteration that lowers the misfit by less than max(tol^2, 1e-3 misfit)),
+    an escape merges near-duplicate atoms and Gauss-Newton-polishes the
+    result, kept only if it lowers the misfit. A restart ends when it
+    reaches tol, after a stall's escape, or after max_iters iterations.
+    Restarts run in index order and the search stops at the
     first one whose Frobenius residual reaches tol; if none does, the best
     misfit wins with ties broken by the lowest index. Restart r draws from
     its own stream rng_from_seed(seed, (r,)), so its run does not depend on
     the others.
     """
     _check_counts(d=d, atoms=1 if atoms is None else atoms, restarts=restarts, max_iters=max_iters)
-    target = as_matrix(c)
+    target = require_finite(as_matrix(c), "target")
     k = target.shape[0]
     if target.shape != (k, k):
         raise ShapeMismatch("target must be square")
@@ -727,7 +733,7 @@ def dist_upper_bound(
     call returns, and shares no array with the memo or with c.
     """
     _check_counts(d=d, atoms=1 if atoms is None else atoms, restarts=restarts, max_iters=max_iters)
-    target = as_matrix(c)
+    target = require_finite(as_matrix(c), "target")
     bound = _bound(target.shape, target.tobytes(), d, atoms, restarts, max_iters, tol, seed)
     return copy.deepcopy(bound)
 

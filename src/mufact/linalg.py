@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian, ShapeMismatch
+from .errors import MufactError, NoConvergence, NotHermitian, ShapeMismatch
 
 ComplexMatrix = np.ndarray
 Seed = int
@@ -24,6 +24,17 @@ def as_matrix(a) -> ComplexMatrix:
     if m.ndim != 2:
         raise ShapeMismatch(f"expected a 2-d array, got shape {m.shape}")
     return m
+
+
+def require_finite(a: np.ndarray, what: str) -> np.ndarray:
+    """a itself, else MufactError if an entry is NaN or infinite.
+
+    For entry points only: frob and as_matrix run in inner loops and stay
+    unchecked.
+    """
+    if not np.isfinite(a).all():
+        raise MufactError(f"{what} has an entry that is not finite")
+    return a
 
 
 def frob(a) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import MufactError, NotPSD
 from .linalg import as_matrix, dagger, herm_eig, op_norm, rng_from_seed
-from .linalg import below_psd_floor, random_haar_unitaries, unitarity_defects
+from .linalg import below_psd_floor, random_haar_unitaries, require_finite, unitarity_defects
 from .channels import UNITARY_TOL, choi_of, to_blocks
 
 # certificate steps per bracket; acceptance 10's slowest symbol takes 1,473
@@ -203,7 +203,7 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
     sets it, it is (e_i, e_j) and the cyclic shift with w_ij = 1. The upper
     end's is the (R, C) of the step that set it, or the name of the cap.
     """
-    m = as_matrix(a)
+    m = require_finite(as_matrix(a), "symbol")
     if m.shape[0] != m.shape[1]:
         raise MufactError(f"symbol must be square, got {m.shape}")
     k = m.shape[0]

@@ -295,6 +295,15 @@ def test_stacked_dilation_equals_dilating_each_block_alone():
         assert np.array_equal(w[idx], halmos_dilate(x[idx]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dilation_rejects_a_non_finite_input(bad):
+    # a NaN once reached the SVD and raised numpy's LinAlgError
+    x = np.zeros((2, 2, 2), dtype=complex)
+    x[1, 0, 1] = bad
+    with pytest.raises(MufactError, match="^dilation input has an entry that is not finite$"):
+        halmos_dilate(x)
+
+
 def test_stacked_dilation_names_the_first_block_above_norm_one():
     x = np.zeros((2, 3, 2, 2), dtype=complex)
     x[1, 0] = np.diag([1.5, 0.0])
@@ -479,7 +488,7 @@ def test_membership_is_deterministic():
     "target, atoms, hit",
     [
         # restart 0 misses and restart 1 reaches tol
-        (random_tuple_ensemble(4, 1, 3, rng_from_seed(51)).gram_average(), 5, 1),
+        (random_tuple_ensemble(4, 1, 3, rng_from_seed(76)).gram_average(), 5, 1),
         # no restart can reach the 2x2 identity with one atom at d = 1
         (np.eye(2), 1, None),
     ],
@@ -969,6 +978,24 @@ def test_membership_reports_honest_residual_when_budget_is_too_small():
     verify_certificate(cert)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_membership_rejects_a_non_finite_target(bad):
+    # a NaN target once came back as a certificate with a NaN residual
+    target = np.eye(3, dtype=complex)
+    target[0, 2] = bad
+    with pytest.raises(MufactError, match="^target has an entry that is not finite$"):
+        membership_solve(target, 1, restarts=1, max_iters=5)
+
+
+def test_planted_target_that_stalled_short_of_tol_is_recovered():
+    # acceptance 8's draw at s = 37: with the first escape at iteration 40,
+    # all 20 restarts stalled between 1.4e-4 and 1e-3
+    target = random_tuple_ensemble(4, 1, 3, rng_from_seed(1037)).gram_average()
+    cert = membership_solve(target, 1, restarts=20, max_iters=300, tol=1e-5, seed=37)
+    assert cert.residual_fro <= 1e-5
+    verify_certificate(cert)
+
+
 # ---------------------------------------------------------------------------
 # distance bounds
 
@@ -1007,6 +1034,18 @@ def test_a_count_that_is_not_a_valid_integer_is_rejected(solve, name, value):
     with pytest.raises(MufactError, match=rf"^{name} must be "):
         solve(np.eye(2), **args)
     assert _bound.cache_info().currsize == 0  # rejected before the memo
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dist_bound_rejects_a_non_finite_target_before_the_memo(bad):
+    from mufact.factorise import _bound
+
+    target = np.eye(2, dtype=complex)
+    target[1, 0] = bad
+    _bound.cache_clear()
+    with pytest.raises(MufactError, match="^target has an entry that is not finite$"):
+        dist_upper_bound(target, 2, atoms=2, restarts=1, max_iters=5)
+    assert _bound.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("solve", [membership_solve, dist_upper_bound])

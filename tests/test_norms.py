@@ -95,6 +95,13 @@ def test_cb_norm_rejects_non_square():
         schur_cb_norm(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cb_norm_rejects_a_non_finite_symbol(bad):
+    # a NaN once came back as a NaN bracket
+    with pytest.raises(MufactError, match="^symbol has an entry that is not finite$"):
+        schur_cb_norm([[bad, 0.0], [0.0, 1.0]])
+
+
 def test_cb_norm_of_identity_symbol():
     # S_I keeps the diagonal: cb norm 1, closed by the caps of a PSD symbol
     est = schur_cb_norm(np.eye(4))
