@@ -254,7 +254,8 @@ def halmos_dilate(x) -> np.ndarray:
     which is how they are computed: taking C and D from separate square
     roots would break their intertwining relation at the sqrt(eps) level
     for nearly unitary X. Inputs with operator norm in (1, 1 + DILATION_TOL]
-    are rescaled to contractions; larger norms raise NormTooLarge.
+    are rescaled to contractions; larger norms raise NormTooLarge, and NaN
+    or infinite entries MufactError.
 
     X may also be a (..., d, d) stack; every block is dilated on its own,
     exactly as if passed alone, into a (..., 2d, 2d) stack. Errors name the
@@ -670,11 +671,11 @@ def membership_solve(
     an escape merges near-duplicate atoms and Gauss-Newton-polishes the
     result, kept only if it lowers the misfit. A restart ends when it
     reaches tol, after a stall's escape, or after max_iters iterations.
-    Restarts run in index order and the search stops at the
-    first one whose Frobenius residual reaches tol; if none does, the best
-    misfit wins with ties broken by the lowest index. Restart r draws from
-    its own stream rng_from_seed(seed, (r,)), so its run does not depend on
-    the others.
+    Restarts run in index order and the search stops at the first one whose
+    Frobenius residual reaches tol; if none does, the best misfit wins with
+    ties broken by the lowest index. Restart r draws from its own stream
+    rng_from_seed(seed, (r,)), so its run does not depend on the others. A
+    NaN or infinite entry of c raises MufactError.
     """
     _check_counts(d=d, atoms=1 if atoms is None else atoms, restarts=restarts, max_iters=max_iters)
     target = require_finite(as_matrix(c), "target")
@@ -730,7 +731,8 @@ def dist_upper_bound(
     memoised by their exact inputs: the bytes and shape of c and every
     other argument. So walking d = 1, 2, 4, ... on one target runs each
     search once. A hit returns a deep copy that is bit for bit what a cold
-    call returns, and shares no array with the memo or with c.
+    call returns, and shares no array with the memo or with c. A NaN or
+    infinite entry of c raises MufactError before the memo is consulted.
     """
     _check_counts(d=d, atoms=1 if atoms is None else atoms, restarts=restarts, max_iters=max_iters)
     target = require_finite(as_matrix(c), "target")
