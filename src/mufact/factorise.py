@@ -209,7 +209,8 @@ def tuples_from_ensemble(
     With row m of W the blocks of member m laid end to end, that is the
     Gram product (W^T * p) @ conj(W) equalling kron(c / d, I_{d^2}). The
     extracted tuples store the adjoints of the blocks, so their Gram average
-    reproduces c.
+    reproduces c. A NaN or infinite entry of c, or a Frobenius norm that
+    overflows, raises MufactError once the ensemble has passed its checks.
     """
     ensemble.check()
     target = as_matrix(c)
@@ -229,6 +230,7 @@ def tuples_from_ensemble(
     bad = _first_block(~(unitarity_defects(diag) <= tol))
     if bad is not None:
         raise NotUnitary(f"diagonal block {bad} is not unitary")
+    require_finite(target, "target")
     # entry ((i, r, a), (j, s, b)) is sum_m p_m V_i[r, a] conj(V_j[s, b])
     w = diag.reshape(ensemble.size, k * d * d)
     got = (w.T * ensemble.weights) @ np.conj(w)
@@ -255,7 +257,7 @@ def halmos_dilate(x) -> np.ndarray:
     roots would break their intertwining relation at the sqrt(eps) level
     for nearly unitary X. Inputs with operator norm in (1, 1 + DILATION_TOL]
     are rescaled to contractions; larger norms raise NormTooLarge, and NaN
-    or infinite entries MufactError.
+    or infinite entries, or a Frobenius norm that overflows, MufactError.
 
     X may also be a (..., d, d) stack; every block is dilated on its own,
     exactly as if passed alone, into a (..., 2d, 2d) stack. Errors name the
@@ -319,7 +321,9 @@ def correction_pipeline(
     the certificate holds one atom per distinct Gram matrix (within
     GRAM_RECOMPUTE_TOL in Frobenius norm), carrying the pooled weight of
     its members, heaviest first. A mu ensemble's d^4 Weyl-sandwiched copies
-    of a tuple share one Gram matrix, and so do their dilations.
+    of a tuple share one Gram matrix, and so do their dilations. A NaN or
+    infinite entry of c, or a Frobenius norm that overflows, raises
+    MufactError once the shapes and phi have passed their checks.
     """
     target = as_matrix(c)
     k = target.shape[0]
@@ -328,6 +332,7 @@ def correction_pipeline(
             f"ensemble dimension {phi.dim} does not match d={d} and k={k}"
         )
     phi.check()
+    require_finite(target, "target")
     blocks = to_blocks(phi.unitaries, d, k)
     diag = blocks[:, range(k), range(k)]  # (M, k, d, d)
 
@@ -359,43 +364,29 @@ def _weight_update(p, grams, target):
 
     The misfit of weights w is w Q w with Q_mn = Re<G_m - T, G_n - T>, the
     squared distance from the origin to a point of the polytope spanned by
-    the G_m - T. Wolfe's nearest-point algorithm finds the minimum: a major
-    step adds the atom with the smallest (Q w)_m, and minor steps solve the
-    affine KKT system on the support, stepping back to the boundary and
-    dropping an atom whenever the affine minimiser leaves the simplex. The
-    small solves use lstsq, since Q is singular once atoms outnumber the
-    dimension of the Gram matrices. It stops when the Frank-Wolfe gap is
-    at most 1e-15 max Q_mm or a step no longer lowers the misfit; p comes
-    back unchanged unless the new misfit is strictly lower.
-
-    The walk starts warm, at p itself, when p Q p is below every Q_mm, and
-    otherwise at the vertex with the smallest Q_mm. A warm start's first
-    pass runs one minor cycle on the support of p, with the best entering
-    atom added only if the gap test fails and that atom is outside the
-    support. The pass runs even when no atom enters, since p need not be
-    the affine minimiser of its own support; the solver's p nearly always
-    has the optimal support already, so one solve usually suffices.
+    the G_m - T. Wolfe's nearest-point algorithm finds the minimum, starting
+    at the vertex with the smallest Q_mm: a major step adds the atom with
+    the smallest (Q w)_m, and minor steps solve the affine KKT system on the
+    support, stepping back to the boundary and dropping an atom whenever the
+    affine minimiser leaves the simplex. The small solves use lstsq, since Q
+    is singular once atoms outnumber the dimension of the Gram matrices. It
+    stops when the Frank-Wolfe gap is at most 1e-15 max Q_mm or a step no
+    longer lowers the misfit; p comes back unchanged unless the new misfit
+    is strictly lower.
     """
     diff = grams - target
     q = np.real(np.einsum("mij,nij->mn", np.conj(diff), diff))
     diag = np.diagonal(q)
     gap_tol = 1e-15 * float(diag.max())
-    f_in = float(p @ q @ p)
-    warm = f_in < diag.min()
-    if warm:
-        w, f = p, f_in
-    else:
-        w = np.zeros(len(p))
-        w[np.argmin(diag)] = 1.0
-        f = float(diag.min())
+    w = np.zeros(len(p))
+    w[np.argmin(diag)] = 1.0
+    f = float(diag.min())
     while True:
         g = q @ w
         j = int(np.argmin(g))
-        settled = f - g[j] <= gap_tol or w[j] > 0.0
-        if settled and not warm:
+        if f - g[j] <= gap_tol or w[j] > 0.0:
             break
-        support = np.flatnonzero(w) if settled else np.append(np.flatnonzero(w), j)
-        warm = False
+        support = np.append(np.flatnonzero(w), j)
         cur = w[support]
         while True:
             n = len(support)
@@ -420,7 +411,7 @@ def _weight_update(p, grams, target):
             break
         w, f = w_try, f_try
     w = w / w.sum()
-    f = float(w @ q @ w)
+    f, f_in = float(w @ q @ w), float(p @ q @ p)
     return (w, f) if f < f_in else (p, f_in)
 
 
@@ -588,42 +579,13 @@ def _merge_atoms(p, atoms, grams, thresh: float):
     return np.array(weights), atoms[rep_idx].copy()
 
 
-def _polish_escape(f, p, atoms, grams, target, d: int, tol: float):
-    """Merge near-duplicate atoms and Gauss-Newton-polish the result.
-
-    The alternating scheme crawls along the flat directions left by
-    redundant atoms; collapsing close Grams makes the configuration rigid
-    and the polish then converges fast. The whole escape is one
-    accept/reject move, so the objective stays monotone.
-    """
-    k = atoms.shape[1]
-    best = None
-    seen_sizes: set[int] = set()
-    for thresh in (0.0, 0.2, 0.5):
-        q, reps = _merge_atoms(p, atoms, grams, thresh)
-        if reps.shape[0] in seen_sizes:
-            continue
-        seen_sizes.add(reps.shape[0])
-        if reps.shape[0] * (1 + k * d * d) > 600:  # keep the polish cheap
-            continue
-        q = q / q.sum()
-        nf, nq, na = _gn_polish(q, reps, target, d, tol)
-        if best is None or nf < best[0]:
-            best = (nf, nq, na)
-        if best[0] <= tol * tol:
-            break
-    if best is not None and best[0] < f:
-        return best
-    return f, p, atoms
-
-
 def _solve_single(target, d: int, m_cnt: int, max_iters: int, tol: float, rng):
     atoms = random_haar_unitaries((m_cnt, target.shape[0]), d, rng)
     p = np.full(m_cnt, 1.0 / m_cnt)
     grams = _grams(atoms)
     resid = np.einsum("m,mij->ij", p, grams) - target
     f = float(np.vdot(resid, resid).real)
-    for it in range(1, max_iters + 1):
+    for _ in range(max_iters):
         f_prev = f
         p, _ = _weight_update(p, grams, target)
         resid = np.einsum("m,mij->ij", p, grams) - target
@@ -633,12 +595,14 @@ def _solve_single(target, d: int, m_cnt: int, max_iters: int, tol: float, rng):
         if f <= tol * tol:
             return f, p, atoms
         stalled = f_prev - f < max(tol * tol, 1e-3 * f)
-        # escape at iterations 1, 2, 4, 8, ... and after a stall
-        if stalled or it & (it - 1) == 0:
-            f, p, atoms = _polish_escape(f, p, atoms, grams, target, d, tol)
-            if f <= tol * tol or stalled:
-                return f, p, atoms
-            grams = _grams(atoms)
+        # escape: pool atoms of equal Gram, polish, keep only a lower misfit
+        q, reps = _merge_atoms(p, atoms, grams, 0.0)
+        escape = _gn_polish(q / q.sum(), reps, target, d, tol)
+        if escape[0] < f:
+            f, p, atoms = escape
+        if f <= tol * tol or stalled:
+            return f, p, atoms
+        grams = _grams(atoms)
     return f, p, atoms
 
 
@@ -664,18 +628,20 @@ def membership_solve(
 ) -> GramCertificate:
     """Search for a tuple ensemble whose Gram average matches c.
 
-    Alternates exact weight steps on the simplex (Wolfe's nearest-point
-    algorithm) with per-atom polar updates, from `restarts` independent
-    seeded starts. At iterations 1, 2, 4, 8, ... and after a stall (an
-    iteration that lowers the misfit by less than max(tol^2, 1e-3 misfit)),
-    an escape merges near-duplicate atoms and Gauss-Newton-polishes the
-    result, kept only if it lowers the misfit. A restart ends when it
-    reaches tol, after a stall's escape, or after max_iters iterations.
+    Each iteration, from `restarts` independent seeded starts, takes an
+    exact weight step on the simplex (Wolfe's nearest-point algorithm,
+    started cold at the best single atom), one sweep of per-atom polar
+    updates, and an escape: atoms of equal Gram matrix are pooled, those of
+    zero weight dropped, and the rest Gauss-Newton-polished, kept only if
+    that lowers the misfit. A restart ends when it reaches tol, after the
+    escape of a stalled iteration (one whose sweep lowered the misfit by
+    less than max(tol^2, 1e-3 misfit)), or after max_iters iterations.
     Restarts run in index order and the search stops at the first one whose
     Frobenius residual reaches tol; if none does, the best misfit wins with
     ties broken by the lowest index. Restart r draws from its own stream
     rng_from_seed(seed, (r,)), so its run does not depend on the others. A
-    NaN or infinite entry of c raises MufactError.
+    NaN or infinite entry of c, or a Frobenius norm that overflows, raises
+    MufactError.
     """
     _check_counts(d=d, atoms=1 if atoms is None else atoms, restarts=restarts, max_iters=max_iters)
     target = require_finite(as_matrix(c), "target")
@@ -732,7 +698,8 @@ def dist_upper_bound(
     other argument. So walking d = 1, 2, 4, ... on one target runs each
     search once. A hit returns a deep copy that is bit for bit what a cold
     call returns, and shares no array with the memo or with c. A NaN or
-    infinite entry of c raises MufactError before the memo is consulted.
+    infinite entry of c, or a Frobenius norm that overflows, raises
+    MufactError before the memo is consulted.
     """
     _check_counts(d=d, atoms=1 if atoms is None else atoms, restarts=restarts, max_iters=max_iters)
     target = require_finite(as_matrix(c), "target")

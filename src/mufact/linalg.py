@@ -27,13 +27,18 @@ def as_matrix(a) -> ComplexMatrix:
 
 
 def require_finite(a: np.ndarray, what: str) -> np.ndarray:
-    """a itself, else MufactError if an entry is NaN or infinite.
+    """a itself, else MufactError if an entry is NaN or infinite or the
+    Frobenius norm overflows, since squared residuals then overflow too.
 
     For entry points only: frob and as_matrix run in inner loops and stay
     unchecked.
     """
     if not np.isfinite(a).all():
         raise MufactError(f"{what} has an entry that is not finite")
+    with np.errstate(over="ignore"):  # an overflow is what this looks for
+        norm = frob(a)
+    if not np.isfinite(norm):
+        raise MufactError(f"{what} has a non-finite Frobenius norm")
     return a
 
 

@@ -202,7 +202,8 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
     ||B||_1 = tr(U* B V) = x^T (A o conj(U V*)) y; while max|a_ij| still
     sets it, it is (e_i, e_j) and the cyclic shift with w_ij = 1. The upper
     end's is the (R, C) of the step that set it, or the name of the cap.
-    A NaN or infinite entry of a raises MufactError.
+    A NaN or infinite entry of a, or a Frobenius norm that overflows, raises
+    MufactError.
     """
     m = require_finite(as_matrix(a), "symbol")
     if m.shape[0] != m.shape[1]:

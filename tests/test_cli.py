@@ -396,6 +396,7 @@ def _files(tmp_path):
     return sorted(p.name for p in tmp_path.iterdir())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_factorise_on_an_overflowing_target_exits_5_and_writes_nothing(tmp_path):
     c = str(tmp_path / "big.json")
     fileio.save_matrix(c, np.array(BIG))
@@ -405,6 +406,7 @@ def test_factorise_on_an_overflowing_target_exits_5_and_writes_nothing(tmp_path)
     assert _files(tmp_path) == ["big.json"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_correct_on_an_overflowing_target_exits_5_and_writes_nothing(tmp_path):
     c = str(tmp_path / "big.json")
     fileio.save_matrix(c, np.array(BIG))
@@ -416,6 +418,20 @@ def test_correct_on_an_overflowing_target_exits_5_and_writes_nothing(tmp_path):
     assert _files(tmp_path) == ["big.json", "phi.json"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extract_on_an_overflowing_target_exits_5_and_writes_nothing(tmp_path):
+    c = str(tmp_path / "big.json")
+    fileio.save_matrix(c, np.array(BIG))
+    phi = str(tmp_path / "phi.json")
+    tuples = mufact.random_tuple_ensemble(2, 1, 2, mufact.rng_from_seed(1))
+    fileio.save_json(phi, fileio.ensemble_to_json(mufact.mu_ensemble_from_tuples(tuples)))
+    rc, out, err = run(["extract", "--ensemble", phi, "--C", c, "--d", "1", "--k", "2",
+                        "--out", str(tmp_path / "t.json")])
+    assert rc == 5 and "non-finite" in err and out == ""
+    assert _files(tmp_path) == ["big.json", "phi.json"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("out", [False, True])
 def test_norms_on_an_overflowing_symbol_exits_5_and_prints_nothing(tmp_path, out):
     a = str(tmp_path / "big.json")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mufact import (
+    MufactError,
     NotHermitian,
     ShapeMismatch,
     herm_eig,
@@ -13,7 +14,7 @@ from mufact import (
     rng_from_seed,
     svd,
 )
-from mufact.linalg import below_psd_floor, frob, random_haar_unitaries, tol_scale
+from mufact.linalg import below_psd_floor, frob, random_haar_unitaries, require_finite, tol_scale
 
 
 def rand_herm(n, rng):
@@ -50,6 +51,16 @@ def test_tol_scale_is_one_plus_the_frobenius_norm_without_overflow():
     assert tol_scale(1e308 * np.ones((4, 4))) == np.inf
     assert np.isnan(tol_scale([[np.inf, 0.0], [0.0, 1.0]]))
     assert np.isnan(tol_scale([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_require_finite_rejects_non_finite_entries_and_an_overflowing_norm():
+    ok = np.array([[1.0, 1e150], [1e150, 1.0]])  # its squares still fit in a float
+    assert require_finite(ok, "x") is ok
+    with pytest.raises(MufactError, match="^x has an entry that is not finite$"):
+        require_finite(np.array([[np.nan, 0.0], [0.0, 1.0]]), "x")
+    with pytest.raises(MufactError, match="^x has a non-finite Frobenius norm$"):
+        require_finite(np.array([[1.0, 1e308], [1e308, 1.0]]), "x")
 
 
 def test_below_psd_floor_fails_non_finite_floors_and_eigenvalues():
