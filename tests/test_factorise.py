@@ -1072,6 +1072,27 @@ def test_dist_bound_rejects_a_non_finite_target_before_the_memo(bad):
     assert _bound.cache_info().misses == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", ["dilate", "membership", "dist_bound"])
+def test_entry_points_reject_an_input_whose_frobenius_norm_overflows(entry):
+    # every entry is finite, but squared residuals would overflow; the
+    # dilation once raised NormTooLarge here
+    from mufact.factorise import _bound
+
+    x = np.eye(2, dtype=complex)
+    x[1, 0] = 1e308
+    _bound.cache_clear()
+    with pytest.raises(MufactError, match="^(dilation input|target) has a non-finite Frobenius norm$") as err:
+        if entry == "dilate":
+            halmos_dilate(x)
+        elif entry == "membership":
+            membership_solve(x, 1, restarts=1, max_iters=5)
+        else:
+            dist_upper_bound(x, 2, atoms=2, restarts=1, max_iters=5)
+    assert type(err.value) is MufactError
+    assert _bound.cache_info().misses == 0
+
+
 @pytest.mark.parametrize("solve", [membership_solve, dist_upper_bound])
 def test_numpy_integer_counts_are_accepted(solve):
     i = np.int64

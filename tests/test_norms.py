@@ -102,6 +102,12 @@ def test_cb_norm_rejects_a_non_finite_symbol(bad):
         schur_cb_norm([[bad, 0.0], [0.0, 1.0]])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cb_norm_rejects_a_symbol_whose_frobenius_norm_overflows():
+    with pytest.raises(MufactError, match="^symbol has a non-finite Frobenius norm$"):
+        schur_cb_norm([[1e308, 1e308], [0.0, 1.0]])
+
+
 def test_cb_norm_of_identity_symbol():
     # S_I keeps the diagonal: cb norm 1, closed by the caps of a PSD symbol
     est = schur_cb_norm(np.eye(4))
