@@ -268,7 +268,8 @@ def halmos_dilate(x) -> np.ndarray:
         raise ShapeMismatch(f"dilation needs square matrices, got shape {m.shape}")
     require_finite(m, "dilation input")
     d = m.shape[-1]
-    nrm = np.linalg.svd(m, compute_uv=False).max(axis=-1, initial=0.0)
+    p, s, qh = svd(m)
+    nrm = s.max(axis=-1, initial=0.0)
     at = _first_block(nrm > 1.0 + DILATION_TOL)
     if at is not None:
         where = f"block {at} " if at else ""
@@ -276,8 +277,9 @@ def halmos_dilate(x) -> np.ndarray:
             f"{where}operator norm {float(nrm[at])!r} exceeds 1 beyond tolerance"
         )
     # dividing by 1.0 leaves the blocks of norm at most 1 unchanged bit for bit
-    m = m / np.where(nrm > 1.0, nrm, 1.0)[..., None, None]
-    p, s, qh = svd(m)
+    scale = np.where(nrm > 1.0, nrm, 1.0)[..., None]
+    m = m / scale[..., None]
+    s = s / scale
     defect = np.sqrt(np.clip(1.0 - s * s, 0.0, None))
     b = (p * defect[..., None, :]) @ qh
     w = np.empty(m.shape[:-2] + (2 * d, 2 * d), dtype=complex)

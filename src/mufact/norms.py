@@ -8,12 +8,14 @@ and every trace norm ||D_x A D_y||_1 at positive unit x, y (equal to
 |x^T (A o W) y| for a unitary W) is a lower end. One SVD of D_x A D_y
 gives both, a factorisation from its factors and the trace norm from its
 singular values, so `schur_cb_norm` brackets the norm with one loop of
-such steps; both ends are sound. The bracket keeps a witness for each end
-(the weights and unitary (x, y, W) of the lower end, the factors (R, C) or
-the closed-form cap of the upper end), and `NormEstimate.check` recomputes
-both ends from them. Since W is unitary, ||A o W|| lies between the two
-ends: one more SVD gives a sound lower bound on the operator norm of S_A,
-`NormEstimate.witness_norm`.
+such steps; both ends are sound. Three factorisations with closed-form
+bounds start the upper end: A = A I (the row norms), A = I A (the column
+norms), and the split of A into the positive and negative parts of its
+Hermitian and skew parts. So every upper end is a factorisation. The bracket keeps a witness for each end (the weights and
+unitary (x, y, W) of the lower end, the factors (R, C) of the upper end),
+and `NormEstimate.check` recomputes both ends from them. Since W is
+unitary, ||A o W|| lies between the two ends: one more SVD gives a sound
+lower bound on the operator norm of S_A, `NormEstimate.witness_norm`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MufactError, NotPSD
+from .errors import MufactError, NotPSD, ShapeMismatch
 from .linalg import as_matrix, dagger, herm_eig, op_norm, rng_from_seed
 from .linalg import below_psd_floor, random_haar_unitaries, require_finite, unitarity_defects
 from .channels import UNITARY_TOL, choi_of, to_blocks
@@ -46,9 +48,9 @@ class NormEstimate:
     `iterations` counts the certificate steps spent on the bracket. The
     witnesses are left out of equality. `lower_witness` is (x, y, w), unit
     nonnegative weights and a unitary with lower == |x^T (A o w) y|.
-    `upper_witness` is the factors (r, c) of the certificate step that set
-    the upper end, or the name of the closed-form cap that did, "row-col"
-    or "split". A zero symbol has neither.
+    `upper_witness` is the factors (r, c), a = rc up to rounding, of the
+    factorisation that set the upper end: a certificate step's, or one of
+    the three that start it. A zero symbol has neither.
     """
 
     lower: float
@@ -56,7 +58,7 @@ class NormEstimate:
     method: str
     iterations: int = 0
     lower_witness: tuple | None = field(default=None, compare=False, repr=False)
-    upper_witness: tuple | str | None = field(default=None, compare=False, repr=False)
+    upper_witness: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.lower > self.upper * (1.0 + 1e-9):
@@ -69,48 +71,48 @@ class NormEstimate:
 
         A sound lower bound on the operator norm of S_A, since w is
         unitary, and at least |x^T (A o w) y| = lower, since x and y are
-        unit vectors; so it lies in [lower, upper]. One SVD.
+        unit vectors; so it lies in [lower, upper]. One SVD. A symbol of
+        another size than w raises ShapeMismatch.
         """
         if self.lower_witness is None:
             return 0.0
-        return op_norm(as_matrix(a) * self.lower_witness[2])
+        m, w = as_matrix(a), self.lower_witness[2]
+        if m.shape != np.shape(w):
+            raise ShapeMismatch(f"the witness fits a symbol of shape {np.shape(w)}, not {m.shape}")
+        return op_norm(m * w)
 
     def check(self, a) -> None:
         """Recompute both ends of a's bracket from the witnesses.
 
         Raises MufactError unless the witnesses fit a's size, the weights
         are nonnegative with norm 1 within WITNESS_TOL, w is unitary within
-        UNITARY_TOL, a named cap is one of the closed-form caps, and both
-        recomputed ends are within WITNESS_TOL * upper of the reported ones.
+        UNITARY_TOL, and both recomputed ends are within WITNESS_TOL * upper
+        of the reported ones.
         """
         m = as_matrix(a)
         if self.lower_witness is None or self.upper_witness is None:
             if self.lower == self.upper == 0.0 == np.abs(m).max(initial=0.0):
                 return
             raise MufactError("only a zero symbol's bracket may lack witnesses")
-        x, y, w = self.lower_witness
+        misfit = MufactError(f"the witnesses do not fit a symbol of shape {m.shape}")
+        forms = ((self.lower_witness, 3), (self.upper_witness, 2))
+        if not all(isinstance(v, tuple) and len(v) == n for v, n in forms):
+            raise misfit
+        (x, y, w), (r, c) = self.lower_witness, self.upper_witness
         k = m.shape[0]
         fits = m.shape == (k, k) and np.shape(x) == np.shape(y) == (k,) and np.shape(w) == (k, k)
-        if isinstance(self.upper_witness, str):
-            if self.upper_witness not in _CAPS:
-                raise MufactError(f"unknown upper-end cap {self.upper_witness!r}")
-        else:
-            r, c = self.upper_witness
-            fits = fits and np.ndim(r) == np.ndim(c) == 2 and (
-                np.shape(r)[0] == np.shape(c)[1] == k and np.shape(r)[1] == np.shape(c)[0]
-            )
+        fits = fits and np.ndim(r) == np.ndim(c) == 2 and (
+            np.shape(r)[0] == np.shape(c)[1] == k and np.shape(r)[1] == np.shape(c)[0]
+        )
         if not fits:
-            raise MufactError(f"the witnesses do not fit a symbol of shape {m.shape}")
+            raise misfit
         for v in (x, y):
             if not (v.min() >= 0.0 and abs(np.linalg.norm(v) - 1.0) <= WITNESS_TOL):
                 raise MufactError("lower-end weights are not unit and nonnegative")
         if not unitarity_defects(w) <= UNITARY_TOL:
             raise MufactError("lower-end witness is not unitary")
         lower = abs(x @ (m * w) @ y)
-        if isinstance(self.upper_witness, str):
-            upper = _CAPS[self.upper_witness](m)
-        else:
-            upper = _factor_bound(m, r, c)[0]
+        upper = _factor_bound(m, r, c)[0]
         for end, fresh, given in (("lower", lower, self.lower), ("upper", upper, self.upper)):
             if not abs(fresh - given) <= WITNESS_TOL * self.upper:
                 raise MufactError(f"{end} end {given!r} does not reproduce: witness gives {fresh!r}")
@@ -129,23 +131,22 @@ def schur_norm_psd(c) -> float:
     return float(max(0.0, np.real(np.diagonal(a)).max(initial=0.0)))
 
 
-def split_bound(a) -> float:
-    """cb bound from the positive and negative parts of a symbol.
+def _split_factors(m):
+    """Factors (R, C) of A = H + iK from the eigendecompositions of H, K.
 
-    Write A = H + iK with H and K Hermitian, and split each into its
-    positive and negative parts, H = P - N. A PSD symbol's multiplier has
-    cb norm max_i p_ii, so ||S_A||_cb is at most the sum, over the four
-    parts, of each part's largest diagonal entry. For a PSD symbol this is
-    max_i a_ii.
+    With H = V diag(l) V*, R = V |l|^1/2 and C = sign(l) |l|^1/2 V*, so
+    RC = H; iK's factors are stacked beside them, with an i in C. Row i of
+    R and column i of C both have squared norm sum_t (P_t)_ii, summed over
+    the positive and negative parts P_t of H and K, so their Haagerup bound
+    is max_i sum_t (P_t)_ii: max_i a_ii for a PSD symbol.
     """
-    m = as_matrix(a)
-    total = 0.0
-    for h in (0.5 * (m + dagger(m)), 0.5j * (dagger(m) - m)):
+    rs, cs = [], []
+    for h, phase in ((0.5 * (m + dagger(m)), 1.0), (0.5j * (dagger(m) - m), 1j)):
         vals, vecs = np.linalg.eigh(h)
-        weight = np.abs(vecs) ** 2
-        for part in (np.clip(vals, 0.0, None), np.clip(-vals, 0.0, None)):
-            total += float((weight @ part).max(initial=0.0))
-    return total
+        root = np.sqrt(np.abs(vals))
+        rs.append(vecs * root)
+        cs.append((phase * np.sign(vals) * root)[:, None] * dagger(vecs))
+    return np.hstack(rs), np.vstack(cs)
 
 
 def _row_col_bound(m) -> float:
@@ -154,10 +155,6 @@ def _row_col_bound(m) -> float:
     a_ij = <conj(row_i), e_j> gives the row bound; columns likewise.
     """
     return float(min(np.linalg.norm(m, axis=1).max(), np.linalg.norm(m, axis=0).max()))
-
-
-# the closed-form upper caps, by the name an upper-end witness gives
-_CAPS = {"row-col": _row_col_bound, "split": split_bound}
 
 
 def _factor_bound(m, r, c):
@@ -180,9 +177,10 @@ def _reweigh(w, norms, trace: float):
 def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
     """Bracket the cb norm of the Schur multiplier with symbol a.
 
-    The lower end starts at max|a_ij| and the upper end at the lesser
-    closed-form cap (the row and column norms, the split bound), so a PSD
-    symbol closes on max_i a_ii with no step. Otherwise certificate steps
+    The lower end starts at max|a_ij|. The upper end starts at the least
+    bound of three factorisations: A = A I (the row norms), A = I A (the
+    column norms) and the split (see _split_factors), which gives a PSD
+    symbol max_i a_ii, so it closes with no step. Otherwise certificate steps
     move both ends. Each takes positive unit weights x, y (uniform at
     first), B = D_x A D_y = U S V* (one k x k SVD), and the factorisation
     A = RC with R = D_x^-1 U S^1/2 and C = S^1/2 V* D_y^-1. The upper end
@@ -201,25 +199,27 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
     lower end's is (x, y, conj(U V*)) of the step that set it, since
     ||B||_1 = tr(U* B V) = x^T (A o conj(U V*)) y; while max|a_ij| still
     sets it, it is (e_i, e_j) and the cyclic shift with w_ij = 1. The upper
-    end's is the (R, C) of the step that set it, or the name of the cap.
-    A NaN or infinite entry of a, or a Frobenius norm that overflows, raises
-    MufactError.
+    end's is the (R, C) of the factorisation that set it. A non-square
+    symbol raises ShapeMismatch; a NaN or infinite entry, or a Frobenius
+    norm that overflows, MufactError.
     """
     m = require_finite(as_matrix(a), "symbol")
     if m.shape[0] != m.shape[1]:
-        raise MufactError(f"symbol must be square, got {m.shape}")
+        raise ShapeMismatch(f"symbol must be square, got {m.shape}")
     k = m.shape[0]
-    scale = float(np.abs(m).max(initial=0.0))
+    mag = np.abs(m)
+    scale = float(mag.max(initial=0.0))
     if scale == 0.0 or k == 0:
         return NormEstimate(0.0, 0.0, "haagerup-certificate")
-    lower = scale
-    caps = {name: cap(m) for name, cap in _CAPS.items()}
-    upper_by = min(caps, key=caps.get)
-    # rounding can leave a cap a hair below max|a_ij| (0.9999999999999998
-    # for [[0, 1], [1, 0]])
-    upper = max(caps[upper_by], lower)
+    i, j = divmod(int(mag.argmax()), k)
+    eye = np.eye(k)
+    lower, lower_by = scale, (eye[i], eye[j], np.roll(eye, j - i, axis=1))
+    starts = ((m, eye), (eye, m), _split_factors(m))
+    upper, upper_by = min(((_factor_bound(m, *rc)[0], rc) for rc in starts), key=lambda t: t[0])
+    # rounding can leave a bound a hair below max|a_ij| (the split of a PSD
+    # symbol, by an ulp)
+    upper = max(upper, lower)
     x = y = np.full(k, k ** -0.5)
-    best = None  # (x, y, U, V*) of the step that set the lower end
     steps = 0
     while steps < _MAX_STEPS and upper - lower > rel_gap * upper:
         steps += 1
@@ -232,16 +232,9 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
         if bound < upper:
             upper, upper_by = bound, (r, c)
         if min(trace, upper) > lower:
-            lower, best = min(trace, upper), (x, y, u, vh)
+            lower, lower_by = min(trace, upper), (x, y, np.conj(u @ vh))
         x = _reweigh(x, rows, trace)
         y = _reweigh(y, cols, trace)
-    if best is None:
-        i, j = divmod(int(np.abs(m).argmax()), k)
-        eye = np.eye(k)
-        lower_by = (eye[i], eye[j], np.roll(eye, j - i, axis=1))
-    else:
-        bx, by, u, vh = best
-        lower_by = (bx, by, np.conj(u @ vh))
     return NormEstimate(lower, upper, "haagerup-certificate", iterations=steps,
                         lower_witness=lower_by, upper_witness=upper_by)
 

@@ -295,6 +295,23 @@ def test_stacked_dilation_equals_dilating_each_block_alone():
         assert np.array_equal(w[idx], halmos_dilate(x[idx]))
 
 
+def test_dilation_reads_the_norm_off_its_one_svd(monkeypatch):
+    # the rescaled block's singular values are divided by its norm, not recomputed
+    x = np.stack([np.diag([1.0 + 5e-10, 0.5]), np.diag([0.3, 0.2])]).astype(complex)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    w = halmos_dilate(x)
+    assert calls == [True]
+    assert np.array_equal(w[0, :2, :2], x[0] / (1.0 + 5e-10))
+    assert unitarity_defects(w).max() <= 1e-12
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_dilation_rejects_a_non_finite_input(bad):
     # a NaN once reached the SVD and raised numpy's LinAlgError

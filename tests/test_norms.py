@@ -9,6 +9,7 @@ from mufact import (
     MufactError,
     NormEstimate,
     NotPSD,
+    ShapeMismatch,
     random_correlation,
     rng_from_seed,
     schur_apply,
@@ -19,7 +20,6 @@ from mufact import (
 from mufact import norms
 from mufact.channels import KrausChannel, choi_of, to_blocks
 from mufact.linalg import random_haar_unitaries
-from mufact.norms import split_bound
 
 
 # Indefinite residuals C - achieved of the d = 1 solver on the 4x4 targets
@@ -67,12 +67,25 @@ def _residual(seed):
     return np.array([float.fromhex(t) for t in pairs]).view(complex).reshape(4, 4)
 
 
+def _split_cap(a):
+    """The closed-form split cap the split factorisation replaced: the sum,
+    over the positive and negative parts P_t of A's Hermitian and skew
+    parts, of max_i (P_t)_ii."""
+    total = 0.0
+    for h in (0.5 * (a + a.conj().T), 0.5j * (a.conj().T - a)):
+        vals, vecs = np.linalg.eigh(h)
+        weight = np.abs(vecs) ** 2
+        for part in (np.clip(vals, 0.0, None), np.clip(-vals, 0.0, None)):
+            total += float((weight @ part).max(initial=0.0))
+    return total
+
+
 def _caps(a):
     """Closed-form upper ends, plus the few ulps by which rounding can leave
     one below max|a_ij|, where `schur_cb_norm` lifts it."""
     rows = float(np.linalg.norm(a, axis=1).max())
     cols = float(np.linalg.norm(a, axis=0).max())
-    return min(rows, cols, split_bound(a)) * (1.0 + 1e-15)
+    return min(rows, cols, _split_cap(a)) * (1.0 + 1e-15)
 
 
 def test_bracket_invariant():
@@ -91,8 +104,9 @@ def test_cb_norm_zero_symbol():
 
 
 def test_cb_norm_rejects_non_square():
-    with pytest.raises(MufactError):
-        schur_cb_norm(np.zeros((2, 3)))
+    for fill in (0.0, 1.0):
+        with pytest.raises(ShapeMismatch, match="must be square"):
+            schur_cb_norm(np.full((2, 3), fill))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -190,8 +204,9 @@ def test_witnesses_reproduce_both_ends_and_bound_the_operator_norm(family):
         # ||A o w|| >= |x^T (A o w) y| = lower; rounding can put it an ulp under
         assert est.lower * (1.0 - 1e-12) <= est.witness_norm(a) <= est.upper
         if family == "psd":
-            # no step runs, so max|a_ij| and a closed-form cap are the witnesses
-            assert est.iterations == 0 and isinstance(est.upper_witness, str)
+            # no step runs: max|a_ij| and a starting factorisation are the witnesses
+            r, c = est.upper_witness
+            assert est.iterations == 0 and r.shape[0] == c.shape[1] == a.shape[0]
 
 
 def test_a_tampered_witness_fails_check():
@@ -209,13 +224,18 @@ def test_a_tampered_witness_fails_check():
         replace(est, upper_witness=(nudged, c)).check(a)
     with pytest.raises(MufactError, match="lower end"):
         replace(est, lower=0.99 * est.lower).check(a)
-    with pytest.raises(MufactError, match="upper end"):
-        replace(est, upper_witness="split" if est.upper_witness == "row-col" else "row-col").check(a)
-    with pytest.raises(MufactError, match="unknown upper-end cap"):
-        replace(est, upper_witness="trace").check(a)
+    # a string is no factorisation, nor is a third factor; neither may
+    # leak numpy's ValueError
+    for other in ("split", "rc", (r, c, c)):
+        with pytest.raises(MufactError, match="do not fit"):
+            replace(est, upper_witness=other).check(a)
+    with pytest.raises(MufactError, match="do not fit"):
+        replace(est, lower_witness=(x, y)).check(a)
     for other in (a[:-1, :-1], np.pad(a, ((0, 1), (0, 1))), a[:, :-1]):
         with pytest.raises(MufactError, match="do not fit"):
             est.check(other)
+        with pytest.raises(ShapeMismatch, match="witness fits a symbol of shape"):
+            est.witness_norm(other)
     with pytest.raises(MufactError, match="do not fit"):
         replace(est, upper_witness=(r[:, :-1], c)).check(a)
 
@@ -378,15 +398,34 @@ def test_cb_lower_stays_below_a_tighter_certified_upper_on_a_residual():
     assert tight.upper - tight.lower <= 1e-6 * tight.upper
 
 
-def test_split_bound_is_max_diagonal_on_psd_and_caps_any_symbol():
+def _split_symbols():
+    """Complex, Hermitian, real, PSD and rank-one symbols, k = 1-6."""
     rng = rng_from_seed(18)
-    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    psd = g.conj().T @ g
-    assert split_bound(psd) == pytest.approx(np.real(np.diagonal(psd)).max(), rel=1e-12)
-    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    est = schur_cb_norm(z)
-    assert est.lower <= split_bound(z)
-    assert est.upper <= split_bound(z)
+    for k in range(1, 7):
+        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        yield "complex", g
+        yield "hermitian", g + g.conj().T
+        yield "real", g.real
+        yield "psd", g.conj().T @ g
+        yield "psd", np.outer(v, v.conj())
+        yield "rank-one", np.outer(v, g[0])
+
+
+def test_split_factors_factor_the_symbol_and_undercut_the_split_cap():
+    for family, a in _split_symbols():
+        r, c = norms._split_factors(a)
+        assert np.abs(r @ c - a).max() <= 1e-12 * (1.0 + np.linalg.norm(a))
+        rows, cols = np.linalg.norm(r, axis=1), np.linalg.norm(c, axis=0)
+        assert rows == pytest.approx(cols, rel=1e-14, abs=0.0)
+        bound = norms._factor_bound(a, r, c)[0]
+        assert bound <= _split_cap(a) * (1.0 + 1e-12)
+        if family == "psd":
+            assert bound == pytest.approx(np.real(np.diagonal(a)).max(), rel=1e-12)
+        # the bracket starts no higher; rounding can leave the bound an ulp
+        # under max|a_ij|, which lifts the upper end
+        est = schur_cb_norm(a)
+        assert est.lower <= est.upper <= max(bound, est.lower)
 
 
 def test_schur_norm_psd_is_max_diagonal():
