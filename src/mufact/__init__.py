@@ -22,7 +22,6 @@ from .linalg import (
     random_correlation,
     random_haar_unitary,
     rng_from_seed,
-    svd,
 )
 from .channels import (
     ChannelReport,
@@ -38,7 +37,6 @@ from .channels import (
     delta_compress,
     depolarizing_ensemble,
     embed,
-    from_blocks,
     kraus_from_choi,
     lift_channel,
     lift_schur,

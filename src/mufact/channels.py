@@ -46,20 +46,13 @@ def to_blocks(m, d: int, k: int) -> np.ndarray:
     """View a dk x dk matrix as a (k, k, d, d) array of blocks.
 
     A (..., dk, dk) stack becomes a (..., k, k, d, d) view, member by member.
+    For a C-contiguous complex array the view shares its memory, so writing
+    to a block writes to the matrix.
     """
     a = np.asarray(m, dtype=complex)
     if a.shape[-2:] != (d * k, d * k):
         raise ShapeMismatch(f"expected shape {(d * k, d * k)}, got {a.shape}")
     return a.reshape(a.shape[:-2] + (k, d, k, d)).swapaxes(-3, -2)
-
-
-def from_blocks(blocks) -> ComplexMatrix:
-    """Inverse of to_blocks: assemble a (k, k, d, d) array into a matrix."""
-    b = np.asarray(blocks, dtype=complex)
-    if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
-        raise ShapeMismatch(f"expected a (k, k, d, d) array, got {b.shape}")
-    k, d = b.shape[0], b.shape[2]
-    return b.transpose(0, 2, 1, 3).reshape(d * k, d * k)
 
 
 def compress(m, d: int, k: int) -> ComplexMatrix:
@@ -187,7 +180,10 @@ class MixedUnitaryEnsemble:
 
 @dataclass
 class SchurSymbol:
-    """Symbol of a Schur multiplier; a correlation matrix when check() passes."""
+    """Symbol of a Schur multiplier; a correlation matrix when check() passes.
+
+    schur_apply applies a symbol.
+    """
 
     c: ComplexMatrix
 
@@ -195,10 +191,6 @@ class SchurSymbol:
         self.c = as_matrix(self.c)
         if self.c.shape[0] != self.c.shape[1]:
             raise ShapeMismatch(f"symbol must be square, got {self.c.shape}")
-
-    @property
-    def k(self) -> int:
-        return self.c.shape[0]
 
     def check(self):
         """Raise unless c is PSD with unit diagonal."""
@@ -209,9 +201,6 @@ class SchurSymbol:
         if not off <= DIAG_TOL:
             raise MufactError(f"diagonal deviates from 1 by {off:.3e}")
         return self
-
-    def apply(self, x) -> ComplexMatrix:
-        return schur_apply(self.c, x)
 
 
 @dataclass
@@ -286,7 +275,7 @@ def _as_apply(t, dim: int | None = None):
     """Normalise a channel-like object to (apply callable, input dimension)."""
     if isinstance(t, (KrausChannel, MixedUnitaryEnsemble)):
         return t.apply, t.dim
-    if isinstance(t, (ChoiMatrix, SchurSymbol)):
+    if isinstance(t, ChoiMatrix):
         return t.apply, t.k
     if callable(t):
         if dim is None:
@@ -322,14 +311,15 @@ def choi_of(t, dim: int | None = None) -> ChoiMatrix:
             raise ShapeMismatch(f"a Choi matrix needs square operators, got {t.kraus.shape[1:]}")
         return ChoiMatrix(_gram_choi(np.ones(len(t.kraus)), t.kraus), t.dim)
     apply, k = _as_apply(t, dim)
-    blocks = np.empty((k, k, k, k), dtype=complex)
+    out = np.zeros((k * k, k * k), dtype=complex)
+    blocks = to_blocks(out, k, k)  # a view: block writes land in out
     e = np.zeros((k, k), dtype=complex)
     for i in range(k):
         for j in range(k):
             e[i, j] = 1.0
             blocks[i, j] = apply(e)
             e[i, j] = 0.0
-    return ChoiMatrix(from_blocks(blocks), k)
+    return ChoiMatrix(out, k)
 
 
 def kraus_from_choi(choi: ChoiMatrix) -> KrausChannel:

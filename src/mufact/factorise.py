@@ -30,7 +30,6 @@ from .linalg import (
     random_haar_unitaries,
     require_finite,
     rng_from_seed,
-    svd,
     unitarity_defects,
 )
 from .channels import (
@@ -268,7 +267,7 @@ def halmos_dilate(x) -> np.ndarray:
         raise ShapeMismatch(f"dilation needs square matrices, got shape {m.shape}")
     require_finite(m, "dilation input")
     d = m.shape[-1]
-    p, s, qh = svd(m)
+    p, s, qh = np.linalg.svd(m)
     nrm = s.max(axis=-1, initial=0.0)
     at = _first_block(nrm > 1.0 + DILATION_TOL)
     if at is not None:
@@ -297,7 +296,6 @@ def halmos_dilate(x) -> np.ndarray:
 class CorrectionReport:
     """Outcome of the correction pipeline on an approximate factorisation."""
 
-    c: np.ndarray
     c_tilde: np.ndarray
     c_hat: np.ndarray
     certificate: GramCertificate
@@ -347,7 +345,6 @@ def correction_pipeline(
     weights, reps = _merge_atoms(phi.weights, dil, _grams(dil), GRAM_RECOMPUTE_TOL)
     cert = GramCertificate.build(UnitaryTupleEnsemble(weights, reps), target)
     return CorrectionReport(
-        c=target,
         c_tilde=c_tilde,
         c_hat=cert.achieved,
         certificate=cert,

@@ -83,21 +83,6 @@ def herm_eig(a) -> tuple[np.ndarray, ComplexMatrix]:
     return vals[order].copy(), vecs[:, order].copy()
 
 
-def svd(x) -> tuple[ComplexMatrix, np.ndarray, ComplexMatrix]:
-    """Singular value decomposition X = P @ diag(s) @ Qh, s descending.
-
-    Accepts a matrix or a (..., m, n) stack, decomposed matrix by matrix.
-    """
-    m = np.asarray(x, dtype=complex)
-    if m.ndim < 2:
-        raise ShapeMismatch(f"expected a matrix or a stack of them, got shape {m.shape}")
-    try:
-        p, s, qh = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(str(exc)) from exc
-    return p, s, qh
-
-
 def below_psd_floor(values: np.ndarray, a) -> bool:
     """Whether eigenvalues `values` of A dip below -PSD_FLOOR * (1 + ||A||_F),
     or that floor or an eigenvalue is not finite."""

@@ -43,7 +43,7 @@ _SUPEROP_ITERS = 60
 
 @dataclass
 class NormEstimate:
-    """Bracket [lower, upper] for a norm, tagged with how it was computed.
+    """Bracket [lower, upper] for a norm.
 
     `iterations` counts the certificate steps spent on the bracket. The
     witnesses are left out of equality. `lower_witness` is (x, y, w), unit
@@ -55,7 +55,6 @@ class NormEstimate:
 
     lower: float
     upper: float
-    method: str
     iterations: int = 0
     lower_witness: tuple | None = field(default=None, compare=False, repr=False)
     upper_witness: tuple | None = field(default=None, compare=False, repr=False)
@@ -72,14 +71,15 @@ class NormEstimate:
         A sound lower bound on the operator norm of S_A, since w is
         unitary, and at least |x^T (A o w) y| = lower, since x and y are
         unit vectors; so it lies in [lower, upper]. One SVD. A symbol of
-        another size than w raises ShapeMismatch.
+        another size than w raises ShapeMismatch; a NaN or infinite entry,
+        or a Frobenius norm that overflows, MufactError.
         """
         if self.lower_witness is None:
             return 0.0
         m, w = as_matrix(a), self.lower_witness[2]
         if m.shape != np.shape(w):
             raise ShapeMismatch(f"the witness fits a symbol of shape {np.shape(w)}, not {m.shape}")
-        return op_norm(m * w)
+        return op_norm(require_finite(m, "symbol") * w)
 
     def check(self, a) -> None:
         """Recompute both ends of a's bracket from the witnesses.
@@ -210,7 +210,7 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
     mag = np.abs(m)
     scale = float(mag.max(initial=0.0))
     if scale == 0.0 or k == 0:
-        return NormEstimate(0.0, 0.0, "haagerup-certificate")
+        return NormEstimate(0.0, 0.0)
     i, j = divmod(int(mag.argmax()), k)
     eye = np.eye(k)
     lower, lower_by = scale, (eye[i], eye[j], np.roll(eye, j - i, axis=1))
@@ -235,7 +235,7 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
             lower, lower_by = min(trace, upper), (x, y, np.conj(u @ vh))
         x = _reweigh(x, rows, trace)
         y = _reweigh(y, cols, trace)
-    return NormEstimate(lower, upper, "haagerup-certificate", iterations=steps,
+    return NormEstimate(lower, upper, iterations=steps,
                         lower_witness=lower_by, upper_witness=upper_by)
 
 
@@ -254,9 +254,11 @@ def superop_norm_lb(phi, dim: int | None = None, seed: int = 0) -> float:
     Deterministic starts are the n cyclic shift permutations (the identity
     among them), followed by _SUPEROP_STARTS seeded Haar unitaries; each
     start stops once a step gains at most 1e-14, or after _SUPEROP_ITERS
-    steps.
+    steps. A Choi matrix with a NaN or infinite entry, or a Frobenius norm
+    that overflows, raises MufactError.
     """
     choi = choi_of(phi, dim)
+    require_finite(choi.matrix, "Choi matrix")
     n = choi.k
     if n == 0:
         return 0.0

@@ -22,7 +22,6 @@ from mufact import (
     delta_compress,
     depolarizing_ensemble,
     embed,
-    from_blocks,
     kraus_from_choi,
     lift_channel,
     lift_schur,
@@ -48,7 +47,12 @@ def test_block_round_trip_and_addressing():
     blocks = to_blocks(m, d, k)
     assert blocks.shape == (k, k, d, d)
     assert np.array_equal(blocks[1, 2], m[2:4, 4:6])
-    assert np.array_equal(from_blocks(blocks), m)
+    out = np.zeros_like(m)
+    view = to_blocks(out, d, k)
+    for i in range(k):
+        for j in range(k):
+            view[i, j] = blocks[i, j]
+    assert np.array_equal(out, m)
 
 
 def test_to_blocks_views_a_stack_member_by_member():
@@ -154,6 +158,19 @@ def test_rectangular_kraus_operators_act_on_their_column_space():
             gram = sum(np.outer(a[:, i], a[:, j].conj()) for a in ops)
             assert np.abs(ch.apply(e) - gram).max() <= 1e-13
             e[i, j] = 0.0
+
+
+def test_choi_of_needs_a_dimension_for_a_bare_callable_and_a_channel_like_input():
+    with pytest.raises(ShapeMismatch, match="input dimension required"):
+        choi_of(lambda x: x)
+    with pytest.raises(TypeError, match="cannot interpret int as a channel"):
+        choi_of(3)
+
+
+def test_kraus_from_choi_of_the_zero_map_is_one_zero_operator():
+    ch = kraus_from_choi(choi_of(lambda x: 0.0 * x, 3))
+    assert ch.kraus.shape == (1, 3, 3)
+    assert not ch.kraus.any()
 
 
 def test_a_choi_matrix_needs_square_kraus_operators():
@@ -295,6 +312,23 @@ def test_delta_compress_produces_unital_channel_and_composed_witness():
     got = choi_of(composed.apply, d * k)
     want = choi_of(lambda x: lift_channel(compressed, d, x), d * k)
     assert np.abs(got.matrix - want.matrix).max() <= 1e-9
+
+
+def test_lift_channel_of_a_choi_matrix_matches_its_kraus_form():
+    rng = rng_from_seed(19)
+    d, k = 2, 2
+    phi = MixedUnitaryEnsemble([0.25, 0.75], [random_haar_unitary(d * k, rng) for _ in range(2)])
+    choi = delta_compress(phi, d, k)
+    x = rand_complex((d * k, d * k), rng)
+    got = lift_channel(choi, d, x)
+    want = lift_channel(kraus_from_choi(choi), d, x)
+    assert np.abs(got - want).max() <= 1e-13
+
+
+def test_delta_compress_rejects_an_ensemble_of_another_dimension():
+    phi = MixedUnitaryEnsemble([1.0], np.eye(4)[None])
+    with pytest.raises(ShapeMismatch, match="acts on dimension 4, expected 6"):
+        delta_compress(phi, 3, 2)
 
 
 # ---------------------------------------------------------------------------

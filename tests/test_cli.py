@@ -356,6 +356,49 @@ def test_correct_on_an_ensemble_of_empty_members_exits_2(tmp_path):
     assert run(["verify", "--what", "ensemble", u0])[0] == 2
 
 
+def test_extract_on_a_tuple_form_ensemble_exits_2_and_writes_nothing(tmp_path):
+    t = str(tmp_path / "t.json")
+    run(["gen", "tuple", "--k", "2", "--d", "1", "--out", t])
+    c = str(tmp_path / "c.json")
+    fileio.save_matrix(c, np.eye(2))
+    rc, _, err = run(["extract", "--ensemble", t, "--C", c, "--d", "1", "--k", "2",
+                      "--out", str(tmp_path / "rec.json")])
+    assert rc == 2 and "expected an ensemble in unitary form" in err
+    assert _files(tmp_path) == ["c.json", "t.json"]
+
+
+def test_verify_certificate_whose_ensemble_is_in_unitary_form_exits_2(tmp_path):
+    tuples = mufact.random_tuple_ensemble(2, 1, 2, mufact.rng_from_seed(1))
+    cert = fileio.certificate_to_json(mufact.GramCertificate.build(tuples, np.eye(2)))
+    cert["ensemble"] = fileio.ensemble_to_json(mufact.depolarizing_ensemble(2))
+    path = _write(tmp_path / "cert.json", cert)
+    rc, out, err = run(["verify", "--what", "certificate", path])
+    assert rc == 2 and "certificate ensemble must be in tuple form" in err and out == ""
+    assert _files(tmp_path) == ["cert.json"]
+
+
+def test_verify_ensemble_with_a_weight_list_of_the_wrong_length_exits_2(tmp_path):
+    obj = fileio.ensemble_to_json(mufact.depolarizing_ensemble(2))
+    obj["weights"] = obj["weights"][:-1]
+    path = _write(tmp_path / "e.json", obj)
+    rc, out, err = run(["verify", "--what", "ensemble", path])
+    assert rc == 2 and "weight list is missing or has the wrong length" in err and out == ""
+    assert _files(tmp_path) == ["e.json"]
+
+
+@pytest.mark.parametrize("command", [
+    ["factorise", "--C", "c.json", "--d", "1", "--tol", "abc"],
+    ["factorise", "--C", "c.json", "--d", "1", "--tol", "inf"],
+    ["gen", "correlation", "--k", "0"],
+    ["gen", "correlation", "--k", "2", "--seed", "x"],
+])
+def test_a_bad_option_value_is_a_usage_error_and_writes_nothing(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--out", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert _files(tmp_path) == []
+
+
 @pytest.mark.parametrize("command", [
     ["gen", "tuple", "--k", "2"],
     ["factorise", "--d", "1", "--restarts", "1", "--max-iters", "5"],
@@ -440,6 +483,19 @@ def test_norms_on_an_overflowing_symbol_exits_5_and_prints_nothing(tmp_path, out
     rc, printed, err = run(["norms", "--A", a] + report)
     assert rc == 5 and "non-finite" in err and printed == ""
     assert _files(tmp_path) == ["big.json"]
+
+
+def test_a_lapack_failure_exits_5_and_writes_nothing(tmp_path, monkeypatch):
+    a = str(tmp_path / "a.json")
+    fileio.save_matrix(a, np.array([[1.0, 0.5], [0.5, -1.0]]))
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    rc, out, err = run(["norms", "--A", a, "--out", str(tmp_path / "r.json")])
+    assert rc == 5 and out == "" and "SVD did not converge" in err
+    assert _files(tmp_path) == ["a.json"]
 
 
 def test_verify_correlation_on_a_matrix_whose_norm_squares_overflow_exits_4(tmp_path):

@@ -29,6 +29,7 @@ from mufact import (
     verify_certificate,
 )
 from mufact import fileio
+from mufact.channels import UNITARY_TOL
 from mufact.linalg import random_haar_unitaries, unitarity_defects
 
 
@@ -184,6 +185,21 @@ def test_extract_rejects_unitary_blocks_without_the_weyl_sandwich():
     bare = MixedUnitaryEnsemble(ens.weights, members)
     with pytest.raises(NotAFactorisation):
         tuples_from_ensemble(bare, ens.gram_average(), 2, 3)
+
+
+def test_extract_holds_blocks_to_a_tol_below_the_member_check():
+    # members pass ensemble.check at UNITARY_TOL first; a tol below it then
+    # governs the unitarity of the diagonal blocks
+    rng = rng_from_seed(48)
+    v = random_haar_unitaries((2,), 2, rng)
+    member = np.zeros((4, 4), dtype=complex)
+    member[:2, :2] = (1.0 + 1e-11) * v[0]
+    member[2:, 2:] = v[1]
+    assert 2e-11 < unitarity_defects(member) < UNITARY_TOL
+    ens = MixedUnitaryEnsemble([1.0], member[None])
+    c = gram_matrix(np.conj(v.swapaxes(-1, -2)))
+    with pytest.raises(NotUnitary, match=r"^diagonal block \(0, 0\) is not unitary$"):
+        tuples_from_ensemble(ens, c, 2, 2, tol=1e-12)
 
 
 def _full_choi_deviations(ensemble, c, d, k):
@@ -507,6 +523,15 @@ def test_membership_recovers_planted_target():
     cert = membership_solve(planted, 1, restarts=6, max_iters=200, tol=1e-8, seed=0)
     assert cert.residual_fro <= 1e-6
     assert cert.ensemble.size <= 10  # default atom budget k^2 + 1, pruned
+    verify_certificate(cert)
+
+
+def test_membership_with_no_iterations_returns_the_seeded_start():
+    target = random_tuple_ensemble(3, 2, 2, rng_from_seed(45)).gram_average()
+    cert = membership_solve(target, 2, atoms=4, restarts=1, max_iters=0, seed=6)
+    assert np.array_equal(cert.ensemble.weights, np.full(4, 0.25))
+    start = random_haar_unitaries((4, 3), 2, rng_from_seed(6, (0,)))
+    assert np.array_equal(cert.ensemble.tuples, start)
     verify_certificate(cert)
 
 

@@ -12,7 +12,6 @@ from mufact import (
     random_correlation,
     random_haar_unitary,
     rng_from_seed,
-    svd,
 )
 from mufact.linalg import below_psd_floor, frob, random_haar_unitaries, require_finite, tol_scale
 
@@ -75,15 +74,6 @@ def test_below_psd_floor_fails_non_finite_floors_and_eigenvalues():
 def test_herm_eig_rejects_non_square():
     with pytest.raises(ShapeMismatch):
         herm_eig(np.zeros((2, 3)))
-
-
-def test_svd_reconstructs_with_descending_singular_values():
-    rng = rng_from_seed(11)
-    m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    p, s, qh = svd(m)
-    assert np.all(s >= 0.0)
-    assert np.all(np.diff(s) <= 0.0)
-    assert np.allclose(p @ (s[:, None] * qh[: len(s)]), m, atol=1e-12)
 
 
 def test_op_norm_of_diagonal_and_empty():
