@@ -50,6 +50,9 @@ DILATION_TOL = 1e-9
 BIAVERAGE_CROSSCHECK_TOL = 1e-9
 # recent dist_upper_bound results kept: one target's walk from d = 1 to 128
 DIST_MEMO_SIZE = 8
+# relative misfit decrease at or below which _gn_polish stops: MINPACK's
+# default ftol, sqrt of the float64 machine epsilon
+_GN_FTOL = float(np.sqrt(np.finfo(float).eps))
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +487,15 @@ def _gn_polish(p, atoms, target, d: int, tol: float, iters: int = 60):
     exact misfit keeps the objective non-increasing. Near a zero-residual
     configuration this converges quadratically where the coordinate scheme
     crawls along the flat directions of the Gram parametrisation.
+
+    Each iteration takes one eigendecomposition J J^T = U diag(l) U^T of the
+    k(k-1)-square row Gram of the Jacobian J, and every damping try steps by
+    s = -J^T U diag(1 / (l + lam)) U^T r, the minimiser of
+    |J s + r|^2 + lam |s|^2; l is clamped at 0, so no denominator falls
+    below lam. The polish ends at the iteration cap, when no damping try
+    lowers the misfit f, when f <= 0.01 tol^2, or once an accepted step
+    lowers f by at most sqrt(eps) f (MINPACK's default ftol); that step is
+    kept.
     """
     m_cnt, k = atoms.shape[0], atoms.shape[1]
     nb = d * d
@@ -516,13 +528,12 @@ def _gn_polish(p, atoms, target, d: int, tol: float, iters: int = 60):
             [(grams - achieved)[:, iu, ju].T, rot.reshape(len(rows), m_cnt * k * nb)], axis=1
         )
         jac = np.concatenate([cols.real, cols.imag])
-        # one thin SVD J = U S V^T serves every damping try: the minimiser
-        # of |J s + r|^2 + lam |s|^2 is s = -V diag(S / (S^2 + lam)) U^T r
-        u, sv, vt = np.linalg.svd(jac, full_matrices=False)
-        ur = u.T @ rvec
-        accepted = False
+        gvals, gvecs = np.linalg.eigh(jac @ jac.T)
+        gvals = np.maximum(gvals, 0.0)
+        ur = gvecs.T @ rvec
+        f_in = f
         for _ in range(8):
-            step = -vt.T @ (sv / (sv * sv + lam) * ur)
+            step = -jac.T @ (gvecs @ (ur / (gvals + lam)))
             q = np.clip(p + step[:m_cnt], 0.0, None)
             s = q.sum()
             if s > 0.0:
@@ -543,10 +554,10 @@ def _gn_polish(p, atoms, target, d: int, tol: float, iters: int = 60):
                     p, atoms, grams = q, new_atoms, new_grams
                     achieved, resid, f = new_ach, new_resid, new_f
                     lam = max(lam / 3.0, 1e-12)
-                    accepted = True
                     break
             lam *= 10.0
-        if not accepted:
+        # no try accepted (f == f_in), or the accepted step crawled
+        if not f_in - f > _GN_FTOL * f_in:
             break
     return f, p, atoms
 

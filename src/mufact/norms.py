@@ -213,7 +213,9 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
         return NormEstimate(0.0, 0.0)
     i, j = divmod(int(mag.argmax()), k)
     eye = np.eye(k)
-    lower, lower_by = scale, (eye[i], eye[j], np.roll(eye, j - i, axis=1))
+    # (x, y, U, V*) of the step that set the lower end; W = conj(U V*) is
+    # formed once, at return. The start's W is the cyclic shift itself.
+    lower, lower_by = scale, (eye[i], eye[j], np.roll(eye, j - i, axis=1), eye)
     starts = ((m, eye), (eye, m), _split_factors(m))
     upper, upper_by = min(((_factor_bound(m, *rc)[0], rc) for rc in starts), key=lambda t: t[0])
     # rounding can leave a bound a hair below max|a_ij| (the split of a PSD
@@ -232,11 +234,12 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
         if bound < upper:
             upper, upper_by = bound, (r, c)
         if min(trace, upper) > lower:
-            lower, lower_by = min(trace, upper), (x, y, np.conj(u @ vh))
+            lower, lower_by = min(trace, upper), (x, y, u, vh)
         x = _reweigh(x, rows, trace)
         y = _reweigh(y, cols, trace)
+    x, y, u, vh = lower_by
     return NormEstimate(lower, upper, iterations=steps,
-                        lower_witness=lower_by, upper_witness=upper_by)
+                        lower_witness=(x, y, np.conj(u @ vh)), upper_witness=upper_by)
 
 
 def superop_norm_lb(phi, dim: int | None = None, seed: int = 0) -> float:

@@ -620,12 +620,15 @@ def test_solver_moves_never_increase_the_misfit():
     assert f3 <= f2 + 1e-12
 
 
-def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60, solve="svd"):
+def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60, solve="eigh"):
     """Reference Gauss-Newton polish, one (atom, tuple entry) pair at a time.
 
-    solve="svd" takes each damped step from one thin SVD of the Jacobian, as
-    `_gn_polish` does; solve="lstsq" re-solves the stacked system [J; sqrt(lam) I]
-    for every damping try.
+    solve="eigh" takes each damped step from one eigendecomposition of the
+    row Gram J J^T, as `_gn_polish` does; solve="svd" from one thin SVD of
+    the Jacobian, s = -V diag(S / (S^2 + lam)) U^T r, the step the row Gram
+    replaced; solve="lstsq" re-solves the stacked system [J; sqrt(lam) I]
+    for every damping try. The polish ends once an accepted step lowers the
+    misfit by at most sqrt(eps) of it, or when no damping try lowers it.
     """
     from mufact.factorise import _grams, _hermitian_basis
 
@@ -659,11 +662,19 @@ def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60, solve="svd"):
                 col = m_cnt + (m * k + i) * nb
                 cols[:, col:col + nb] = block
         jac = np.concatenate([cols.real, cols.imag])
-        u, sv, vt = np.linalg.svd(jac, full_matrices=False)
-        ur = u.T @ rvec
+        if solve == "eigh":
+            gvals, gvecs = np.linalg.eigh(jac @ jac.T)
+            gvals = np.maximum(gvals, 0.0)
+            ur = gvecs.T @ rvec
+        elif solve == "svd":
+            u, sv, vt = np.linalg.svd(jac, full_matrices=False)
+            ur = u.T @ rvec
         accepted = False
+        f_in = f
         for _ in range(8):
-            if solve == "svd":
+            if solve == "eigh":
+                step = -jac.T @ (gvecs @ (ur / (gvals + lam)))
+            elif solve == "svd":
                 step = -vt.T @ (sv / (sv * sv + lam) * ur)
             else:
                 lhs = np.concatenate([jac, np.sqrt(lam) * np.eye(jac.shape[1])])
@@ -697,7 +708,7 @@ def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60, solve="svd"):
                     accepted = True
                     break
             lam *= 10.0
-        if not accepted:
+        if not accepted or f_in - f <= np.sqrt(np.finfo(float).eps) * f_in:
             break
     return f, p, atoms
 
@@ -742,6 +753,63 @@ def test_svd_damped_step_matches_the_lstsq_step(d):
     assert abs(got[0] - want[0]) <= 1e-12 * want[0]
     assert np.abs(got[1] - want[1]).max() <= 1e-12 * np.abs(want[1]).max()
     assert np.abs(got[2] - want[2]).max() <= 1e-12 * np.abs(want[2]).max()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_row_gram_step_matches_the_svd_step(d):
+    from mufact.factorise import _gn_polish
+
+    target, atoms, p, f0 = _polish_case(d)
+    want = _gn_polish_per_entry(p, atoms, target, d, 1e-10, iters=1, solve="svd")
+    got = _gn_polish(p.copy(), atoms.copy(), target, d, 1e-10, iters=1)
+    assert want[0] < f0
+    assert abs(got[0] - want[0]) <= 1e-12 * want[0]
+    assert np.abs(got[1] - want[1]).max() <= 1e-12 * np.abs(want[1]).max()
+    assert np.abs(got[2] - want[2]).max() <= 1e-12 * np.abs(want[2]).max()
+
+
+def _extreme_target(rng):
+    """Gram of four unit vectors v_i in C^2 whose v_i v_i* span Herm(2): an
+    extreme point of the elliptope, outside the Gram averages at every d."""
+    while True:
+        v = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        v /= np.linalg.norm(v, axis=0)
+        outer = np.einsum("ai,bi->iab", v, np.conj(v)).reshape(4, 4)
+        if np.linalg.matrix_rank(np.concatenate([outer.real, outer.imag], axis=1), tol=1e-2) == 4:
+            return np.conj(v).T @ v
+
+
+def test_a_polish_that_crawls_ends_on_its_stop_before_its_cap():
+    from mufact.factorise import _gn_polish
+
+    target = _extreme_target(rng_from_seed(1))
+    # one solver iteration, its escape polish included, as the distance bound runs it
+    start = membership_solve(target, 2, atoms=5, restarts=1, max_iters=1, tol=1e-6, seed=1)
+    p, atoms = start.ensemble.weights, start.ensemble.tuples
+    free = _gn_polish(p.copy(), atoms.copy(), target, 2, 1e-6, iters=10_000)
+    assert 1e-4 < free[0] < start.residual_fro ** 2  # it moved, and cannot hit
+    capped = _gn_polish(p.copy(), atoms.copy(), target, 2, 1e-6, iters=60)
+    want = _gn_polish_per_entry(p, atoms, target, 2, 1e-6, iters=60)
+    for got in (capped, want):
+        assert got[0] == free[0]
+        assert np.array_equal(got[1], free[1])
+        assert np.array_equal(got[2], free[2])
+
+
+def test_a_rank_deficient_jacobian_gives_a_finite_step():
+    from mufact.factorise import _gn_polish, _grams
+
+    # k = 2 and d = 1: both atoms share one Gram matrix, so the weight
+    # columns vanish, and the rotations of the live atom's two entries
+    # move its one Gram entry along a single direction: J J^T has rank 1
+    atoms = np.repeat(random_haar_unitaries((1, 2), 1, rng_from_seed(5)), 2, axis=0)
+    p = np.array([1.0, 0.0])
+    target = np.array([[1.0, 0.3], [0.3, 1.0]], dtype=complex)
+    f0 = float(np.linalg.norm(_grams(atoms)[0] - target) ** 2)
+    f, q, turned = _gn_polish(p, atoms, target, 1, 1e-10, iters=1)
+    assert np.isfinite(turned).all() and np.array_equal(q, p)
+    assert f < f0
+    assert np.array_equal(turned[1], atoms[1])  # the weight-0 atom stays put
 
 
 def _polar(x):
