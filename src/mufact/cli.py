@@ -67,33 +67,35 @@ def _positive_int(text: str) -> int:
     return v
 
 
-def _load_ensemble(path: str, form: type):
-    e = fileio.load_ensemble(path)
+def _load_ensemble(path: str, form: type, digests: dict | None = None):
+    e = fileio.load_ensemble(path, digests)
     if not isinstance(e, form):
         kind = "unitary" if form is MixedUnitaryEnsemble else "tuple"
         raise FileFormatError(f"{path}: expected an ensemble in {kind} form")
     return e
 
 
-def _load_square(path: str, what: str):
-    m = fileio.load_matrix(path)
+def _load_square(path: str, what: str, digests: dict | None = None):
+    m = fileio.load_matrix(path, digests)
     if m.shape[0] != m.shape[1] or m.size == 0:
         raise FileFormatError(f"{path}: {what} must be a non-empty square matrix")
     return m
 
 
-def _load_choi(path: str) -> ChoiMatrix:
-    m = _load_square(path, "Choi matrix")
+def _load_choi(path: str, digests: dict | None = None) -> ChoiMatrix:
+    m = _load_square(path, "Choi matrix", digests)
     k = math.isqrt(m.shape[0])
     if k * k != m.shape[0]:
         raise FileFormatError(f"{path}: Choi side {m.shape[0]} is not a perfect square")
     return ChoiMatrix(m, k)
 
 
-def _emit(args, command: str, inputs: dict, results: dict, t0: float) -> dict:
+def _emit(args, command: str, inputs: dict, digests: dict, results: dict, t0: float) -> dict:
+    """Write the report; inputs maps names to paths, digests paths to the
+    sha256 of the bytes loaded from them."""
     report = fileio.report_json(
-        command, args._argv, inputs, getattr(args, "seed", None),
-        results, time.perf_counter() - t0,
+        command, args._argv, {name: (p, digests[p]) for name, p in inputs.items()},
+        getattr(args, "seed", None), results, time.perf_counter() - t0,
     )
     out = getattr(args, "out", None)
     if out:
@@ -127,7 +129,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_factorise(args) -> int:
     t0 = time.perf_counter()
-    c = fileio.load_matrix(args.C)
+    digests = {}
+    c = fileio.load_matrix(args.C, digests)
     cert = membership_solve(
         c, args.d, atoms=args.atoms, restarts=args.restarts,
         max_iters=args.max_iters, tol=args.tol, seed=args.seed,
@@ -142,7 +145,7 @@ def _cmd_factorise(args) -> int:
         "tol": args.tol,
         "certificate_path": cert_path,
     }
-    _emit(args, "factorise", {"C": args.C}, results, t0)
+    _emit(args, "factorise", {"C": args.C}, digests, results, t0)
     ok = cert.residual_fro <= args.tol
     print(
         f"residual_fro={cert.residual_fro:.6e} "
@@ -172,8 +175,9 @@ def _cmd_extract(args) -> int:
 
 def _cmd_correct(args) -> int:
     t0 = time.perf_counter()
-    c = _load_square(args.C, "target")
-    phi = _load_ensemble(args.phi, MixedUnitaryEnsemble)
+    digests = {}
+    c = _load_square(args.C, "target", digests)
+    phi = _load_ensemble(args.phi, MixedUnitaryEnsemble, digests)
     k = c.shape[0]
     if phi.dim % k != 0:
         raise FileFormatError(
@@ -190,7 +194,7 @@ def _cmd_correct(args) -> int:
         "bound_ok": report.bound_ok,
         "certificate_path": cert_path,
     }
-    _emit(args, "correct", {"C": args.C, "phi": args.phi}, results, t0)
+    _emit(args, "correct", {"C": args.C, "phi": args.phi}, digests, results, t0)
     print(
         f"max_abs_delta={report.max_abs_delta:.6e} vs 2*epsilon={2 * args.epsilon:g} "
         f"(bound_ok={report.bound_ok}); report at {args.out}"
@@ -200,7 +204,8 @@ def _cmd_correct(args) -> int:
 
 def _cmd_norms(args) -> int:
     t0 = time.perf_counter()
-    a = _load_square(args.A, "symbol")
+    digests = {}
+    a = _load_square(args.A, "symbol", digests)
     est = schur_cb_norm(a)
     results = {
         "cb_lower": est.lower,
@@ -210,7 +215,7 @@ def _cmd_norms(args) -> int:
     }
     if args.psd:
         results["psd_norm"] = schur_norm_psd(a)
-    _emit(args, "norms", {"A": args.A}, results, t0)
+    _emit(args, "norms", {"A": args.A}, digests, results, t0)
     print(fileio.dumps(fileio.rounded(results)))
     return 0
 
@@ -243,13 +248,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_biaverage(args) -> int:
     t0 = time.perf_counter()
-    choi = _load_choi(args.choi)
+    digests = {}
+    choi = _load_choi(args.choi, digests)
     b = d_biaverage(choi)
     results = {"k": choi.k, "symbol": b}
     if choi.k <= SIGN_ORACLE_MAX_K:
         oracle = biaverage_pm_oracle(choi)
         results["oracle_max_diff"] = float(abs(b - oracle).max())
-    _emit(args, "biaverage", {"choi": args.choi}, results, t0)
+    _emit(args, "biaverage", {"choi": args.choi}, digests, results, t0)
     print(fileio.dumps(fileio.rounded(results)))
     return 0
 

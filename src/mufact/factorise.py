@@ -492,10 +492,15 @@ def _gn_polish(p, atoms, target, d: int, tol: float, iters: int = 60):
     k(k-1)-square row Gram of the Jacobian J, and every damping try steps by
     s = -J^T U diag(1 / (l + lam)) U^T r, the minimiser of
     |J s + r|^2 + lam |s|^2; l is clamped at 0, so no denominator falls
-    below lam. The polish ends at the iteration cap, when no damping try
-    lowers the misfit f, when f <= 0.01 tol^2, or once an accepted step
-    lowers f by at most sqrt(eps) f (MINPACK's default ftol); that step is
-    kept.
+    below lam. A zero weight that the step at the iteration's first lam
+    would push negative is held at its bound for that iteration (a
+    projected, active-set step; Kanzow, Yamashita and Fukushima, J. Comput.
+    Appl. Math. 172, 2004): its column of J is zeroed and J J^T factored
+    once more, so every damping try keeps it at exactly 0. A zero weight
+    whose step points inward keeps its column and can revive. The polish
+    ends at the iteration cap, when no damping try lowers the misfit f,
+    when f <= 0.01 tol^2, or once an accepted step lowers f by at most
+    sqrt(eps) f (MINPACK's default ftol); that step is kept.
     """
     m_cnt, k = atoms.shape[0], atoms.shape[1]
     nb = d * d
@@ -531,6 +536,13 @@ def _gn_polish(p, atoms, target, d: int, tol: float, iters: int = 60):
         gvals, gvecs = np.linalg.eigh(jac @ jac.T)
         gvals = np.maximum(gvals, 0.0)
         ur = gvecs.T @ rvec
+        # pin each zero weight that the step at lam would push negative
+        pin = ~live & (jac[:, :m_cnt].T @ (gvecs @ (ur / (gvals + lam))) >= 0.0)
+        if pin.any():
+            jac[:, np.flatnonzero(pin)] = 0.0
+            gvals, gvecs = np.linalg.eigh(jac @ jac.T)
+            gvals = np.maximum(gvals, 0.0)
+            ur = gvecs.T @ rvec
         f_in = f
         for _ in range(8):
             step = -jac.T @ (gvecs @ (ur / (gvals + lam)))

@@ -41,20 +41,18 @@ def save_json(path: str, obj) -> None:
         raise FileFormatError(f"cannot write {path}: {exc}") from exc
 
 
-def load_json(path: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
-
-
-def sha256_of(path: str) -> str:
+def load_json(path: str, digests: dict | None = None):
+    """The JSON value in the UTF-8 file at path, read once. When digests is
+    a dict, the sha256 of the bytes parsed is stored in it under path."""
     try:
         with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-    except OSError as exc:
-        raise FileFormatError(f"cannot digest {path}: {exc}") from exc
+            data = fh.read()
+        obj = json.loads(data.decode("utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    if digests is not None:
+        digests[path] = hashlib.sha256(data).hexdigest()
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +133,8 @@ def save_matrix(path: str, m) -> None:
     save_json(path, matrix_to_json(m))
 
 
-def load_matrix(path: str) -> np.ndarray:
-    return matrix_from_json(load_json(path))
+def load_matrix(path: str, digests: dict | None = None) -> np.ndarray:
+    return matrix_from_json(load_json(path, digests))
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +197,10 @@ def ensemble_from_json(obj) -> MixedUnitaryEnsemble | UnitaryTupleEnsemble:
     raise FileFormatError("ensemble object has neither 'unitaries' nor 'tuples'")
 
 
-def load_ensemble(path: str) -> MixedUnitaryEnsemble | UnitaryTupleEnsemble:
-    return ensemble_from_json(load_json(path))
+def load_ensemble(
+    path: str, digests: dict | None = None
+) -> MixedUnitaryEnsemble | UnitaryTupleEnsemble:
+    return ensemble_from_json(load_json(path, digests))
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +274,12 @@ def rounded(value):
 
 
 def report_json(command, argv, inputs, seed, results, timing_s) -> dict:
+    """A run report; inputs maps each input's name to its path and the
+    sha256 of the bytes the command parsed from it (see load_json)."""
     return {
         "command": command,
         "argv": list(argv),
-        "inputs": {name: {"path": p, "sha256": sha256_of(p)} for name, p in inputs.items()},
+        "inputs": {name: {"path": p, "sha256": h} for name, (p, h) in inputs.items()},
         "seed": seed,
         "results": rounded(results),
         "timing_s": float(timing_s),

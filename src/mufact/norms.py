@@ -149,12 +149,18 @@ def _split_factors(m):
     return np.hstack(rs), np.vstack(cs)
 
 
+def _norms(a, axis: int) -> np.ndarray:
+    """Euclidean norms of a's rows (axis=1) or columns (axis=0): what
+    np.linalg.norm(a, axis=axis) computes, bit for bit, without its checks."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=axis))
+
+
 def _row_col_bound(m) -> float:
     """cb bound min(max row norm, max column norm) of a symbol.
 
     a_ij = <conj(row_i), e_j> gives the row bound; columns likewise.
     """
-    return float(min(np.linalg.norm(m, axis=1).max(), np.linalg.norm(m, axis=0).max()))
+    return float(min(_norms(m, 1).max(), _norms(m, 0).max()))
 
 
 def _factor_bound(m, r, c):
@@ -163,8 +169,8 @@ def _factor_bound(m, r, c):
     max_i ||R_i|| * max_j ||C^j|| bounds RC; the cb bound of E = A - RC
     (its smaller largest row or column norm) covers the rounding.
     """
-    rows = np.linalg.norm(r, axis=1)
-    cols = np.linalg.norm(c, axis=0)
+    rows = _norms(r, 1)
+    cols = _norms(c, 0)
     return float(rows.max() * cols.max()) + _row_col_bound(m - r @ c), rows, cols
 
 

@@ -4,6 +4,7 @@ Every command runs in-process through main(argv); output is captured with
 redirect_stdout so the assertions hold under any pytest capture mode.
 """
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -25,6 +26,11 @@ def run(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
+def sha256_of(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # gen / verify
 
@@ -42,8 +48,8 @@ def test_gen_is_seed_reproducible(tmp_path):
     run(["gen", "correlation", "--k", "4", "--seed", "7", "--out", a])
     run(["gen", "correlation", "--k", "4", "--seed", "7", "--out", b])
     run(["gen", "correlation", "--k", "4", "--seed", "8", "--out", c])
-    assert fileio.sha256_of(a) == fileio.sha256_of(b)
-    assert fileio.sha256_of(a) != fileio.sha256_of(c)
+    assert sha256_of(a) == sha256_of(b)
+    assert sha256_of(a) != sha256_of(c)
 
 
 def test_verify_rejects_tampered_matrix(tmp_path):
@@ -63,6 +69,27 @@ def test_malformed_input_exits_2(tmp_path):
     assert rc == 2 and "error" in err
     rc, _, err = run(["verify", "--what", "correlation", str(tmp_path / "missing.json")])
     assert rc == 2
+    bad.write_bytes(b'\xff{"rows": 1}')  # not UTF-8
+    rc, _, err = run(["verify", "--what", "correlation", str(bad)])
+    assert rc == 2 and "utf-8" in err
+
+
+def test_a_report_digests_the_bytes_the_command_parsed(tmp_path, monkeypatch):
+    base = str(tmp_path / "inst")
+    run(["gen", "fkd-convex", "--k", "3", "--atoms", "1", "--seed", "2", "--out", base])
+    c = base + ".correlation.json"
+    parsed = sha256_of(c)
+    solve = cli.membership_solve
+
+    def swap_then_solve(*args, **kwargs):
+        fileio.save_matrix(c, np.eye(3))  # the file is replaced after it was parsed
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "membership_solve", swap_then_solve)
+    rep = str(tmp_path / "rep.json")
+    assert run(["factorise", "--C", c, "--d", "1", "--out", rep])[0] == 0
+    assert sha256_of(c) != parsed
+    assert fileio.load_json(rep)["inputs"]["C"] == {"path": c, "sha256": parsed}
 
 
 def _write(path, obj):
@@ -200,7 +227,7 @@ def test_correct_cli_and_report_reproducibility(tmp_path):
     assert first["results"] == second["results"]  # rounded results are stable
     assert first["results"]["bound_ok"] is True
     assert first["results"]["max_abs_delta"] <= 1e-9
-    assert first["inputs"]["C"]["sha256"] == fileio.sha256_of(base + ".correlation.json")
+    assert first["inputs"]["C"]["sha256"] == sha256_of(base + ".correlation.json")
     assert run(["verify", "--what", "certificate",
                 first["results"]["certificate_path"]])[0] == 0
     # the 2 * 2**4 Weyl copies of the 2 planted tuples pool to one atom per tuple

@@ -627,8 +627,11 @@ def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60, solve="eigh"):
     row Gram J J^T, as `_gn_polish` does; solve="svd" from one thin SVD of
     the Jacobian, s = -V diag(S / (S^2 + lam)) U^T r, the step the row Gram
     replaced; solve="lstsq" re-solves the stacked system [J; sqrt(lam) I]
-    for every damping try. The polish ends once an accepted step lowers the
-    misfit by at most sqrt(eps) of it, or when no damping try lowers it.
+    for every damping try. Each iteration first takes the step at the
+    current lam; every zero weight whose component of it is <= 0 loses its
+    column, and the Jacobian is factored again. The polish ends once an
+    accepted step lowers the misfit by at most sqrt(eps) of it, or when no
+    damping try lowers it.
     """
     from mufact.factorise import _grams, _hermitian_basis
 
@@ -662,24 +665,36 @@ def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60, solve="eigh"):
                 col = m_cnt + (m * k + i) * nb
                 cols[:, col:col + nb] = block
         jac = np.concatenate([cols.real, cols.imag])
-        if solve == "eigh":
-            gvals, gvecs = np.linalg.eigh(jac @ jac.T)
-            gvals = np.maximum(gvals, 0.0)
-            ur = gvecs.T @ rvec
-        elif solve == "svd":
-            u, sv, vt = np.linalg.svd(jac, full_matrices=False)
-            ur = u.T @ rvec
+
+        def factor(jac):
+            """The damped step as a function of lam, from one factorisation."""
+            if solve == "eigh":
+                gvals, gvecs = np.linalg.eigh(jac @ jac.T)
+                gvals = np.maximum(gvals, 0.0)
+                ur = gvecs.T @ rvec
+                return lambda lam: -jac.T @ (gvecs @ (ur / (gvals + lam)))
+            if solve == "svd":
+                u, sv, vt = np.linalg.svd(jac, full_matrices=False)
+                ur = u.T @ rvec
+                return lambda lam: -vt.T @ (sv / (sv * sv + lam) * ur)
+
+            def lstsq(lam):
+                lhs = np.concatenate([jac, np.sqrt(lam) * np.eye(jac.shape[1])])
+                rhs = np.concatenate([-rvec, np.zeros(jac.shape[1])])
+                return np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+
+            return lstsq
+
+        step_at = factor(jac)
+        # hold each zero weight whose step at lam points outward at 0
+        pin = (p <= 0.0) & (step_at(lam)[:m_cnt] <= 0.0)
+        if pin.any():
+            jac[:, np.flatnonzero(pin)] = 0.0
+            step_at = factor(jac)
         accepted = False
         f_in = f
         for _ in range(8):
-            if solve == "eigh":
-                step = -jac.T @ (gvecs @ (ur / (gvals + lam)))
-            elif solve == "svd":
-                step = -vt.T @ (sv / (sv * sv + lam) * ur)
-            else:
-                lhs = np.concatenate([jac, np.sqrt(lam) * np.eye(jac.shape[1])])
-                rhs = np.concatenate([-rvec, np.zeros(jac.shape[1])])
-                step = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+            step = step_at(lam)
             q = np.clip(p + step[:m_cnt], 0.0, None)
             s = q.sum()
             if s > 0.0:
@@ -810,6 +825,59 @@ def test_a_rank_deficient_jacobian_gives_a_finite_step():
     assert np.isfinite(turned).all() and np.array_equal(q, p)
     assert f < f0
     assert np.array_equal(turned[1], atoms[1])  # the weight-0 atom stays put
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_zero_weight_pushed_outward_is_held_at_its_bound(d):
+    from mufact.factorise import _gn_polish
+
+    # atom 1 has weight 0 and its step points outward, so it is pinned: the
+    # step is the one taken with atom 1 left out
+    target, atoms, p, f0 = _polish_case(d)
+    f, q, turned = _gn_polish(p.copy(), atoms.copy(), target, d, 1e-10, iters=1)
+    keep = [0, 2, 3]
+    f_out, q_out, turned_out = _gn_polish(p[keep], atoms[keep], target, d, 1e-10, iters=1)
+    assert f < f0
+    assert q[1] == 0.0 and turned[1].tobytes() == atoms[1].tobytes()
+    assert (q >= 0.0).all() and abs(q.sum() - 1.0) <= 1e-15
+    assert abs(f - f_out) <= 1e-12 * f
+    assert np.abs(q[keep] - q_out).max() <= 1e-12
+    assert np.abs(turned[keep] - turned_out).max() <= 1e-12
+
+
+def test_a_zero_weight_whose_step_points_inward_revives():
+    from mufact.factorise import _gn_polish, _grams
+
+    # the target is the Gram of atom 1, at weight 0: its weight column is -r,
+    # so its step r^T (J J^T + lam)^-1 r is positive
+    atoms = random_haar_unitaries((2, 3), 2, rng_from_seed(9))
+    target = _grams(atoms)[1]
+    p = np.array([1.0, 0.0])
+    f0 = float(np.linalg.norm(_grams(atoms)[0] - target) ** 2)
+    f, q, _ = _gn_polish(p, atoms, target, 2, 1e-10, iters=1)
+    assert f < f0
+    assert q[1] > 0.0
+
+
+def test_a_polish_that_ran_to_its_cap_reaches_tol_before_it(monkeypatch):
+    import mufact.factorise as factorise
+
+    # acceptance 8's draw at seed 5: the escape polish of restart 0's first
+    # iteration ran all 60 iterations to 2.1e-3 while weights died and
+    # revived under the clip
+    tol = 1e-5
+    target = random_tuple_ensemble(4, 1, 3, rng_from_seed(1005)).gram_average()
+    seen = []
+    polish = factorise._gn_polish
+    monkeypatch.setattr(factorise, "_gn_polish", lambda *a: seen.append(a) or polish(*a))
+    membership_solve(target, 1, restarts=1, max_iters=1, tol=tol, seed=5)
+    p, atoms = seen[0][0], seen[0][1]
+    capped = polish(p.copy(), atoms.copy(), target, 1, tol, iters=60)
+    short = polish(p.copy(), atoms.copy(), target, 1, tol, iters=59)
+    assert capped[0] <= 0.01 * tol * tol
+    # the 60th iteration never ran
+    assert capped[0] == short[0]
+    assert np.array_equal(capped[1], short[1]) and np.array_equal(capped[2], short[2])
 
 
 def _polar(x):

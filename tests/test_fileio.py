@@ -1,5 +1,6 @@
 """Unit tests for JSON serialization of matrices, ensembles and certificates."""
 
+import hashlib
 import json
 import math
 from itertools import chain
@@ -181,18 +182,22 @@ def test_save_json_is_deterministic(tmp_path):
     obj = {"b": 1, "a": [1.5, {"z": 2, "y": 3}]}
     fileio.save_json(p1, obj)
     fileio.save_json(p2, obj)
-    assert fileio.sha256_of(p1) == fileio.sha256_of(p2)
+    with open(p1, "rb") as f1, open(p2, "rb") as f2:
+        assert f1.read() == f2.read()
 
 
 def test_report_json_structure(tmp_path):
     path = str(tmp_path / "in.json")
     fileio.save_matrix(path, np.eye(2))
-    rep = fileio.report_json("demo", ["--x"], {"C": path}, 7, {"v": 0.25}, 0.01)
+    digests = {}
+    fileio.load_matrix(path, digests)
+    rep = fileio.report_json("demo", ["--x"], {"C": (path, digests[path])}, 7, {"v": 0.25}, 0.01)
     assert rep["command"] == "demo"
     assert rep["argv"] == ["--x"]
     assert rep["seed"] == 7
     assert rep["results"] == {"v": 0.25}
-    assert rep["inputs"]["C"]["sha256"] == fileio.sha256_of(path)
+    with open(path, "rb") as fh:
+        assert rep["inputs"]["C"] == {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
 
 
 def test_matrix_from_json_matches_per_entry_conversion_bit_for_bit():
