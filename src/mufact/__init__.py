@@ -4,7 +4,6 @@ from .errors import (
     DimensionTooLarge,
     FileFormatError,
     MufactError,
-    NoConvergence,
     NormTooLarge,
     NotAFactorisation,
     NotBlockDiagonal,

@@ -331,14 +331,10 @@ def kraus_from_choi(choi: ChoiMatrix) -> KrausChannel:
     """
     vals, vecs = herm_eig(choi.matrix)
     k = choi.k
-    kraus = []
-    for lam, v in zip(vals, vecs.T):
-        if lam <= KRAUS_CUTOFF:
-            break  # eigenvalues are descending
-        kraus.append(np.sqrt(lam) * v.reshape(k, k).T)
-    if not kraus:
-        kraus = [np.zeros((k, k), dtype=complex)]
-    return KrausChannel(kraus)
+    keep = vals > KRAUS_CUTOFF
+    if not keep.any():
+        return KrausChannel(np.zeros((1, k, k), dtype=complex))
+    return KrausChannel((np.sqrt(vals[keep]) * vecs[:, keep]).reshape(k, k, -1).T.copy())
 
 
 def verify_channel(t, dim: int | None = None) -> ChannelReport:
@@ -375,19 +371,19 @@ def lift_schur(c, d: int, x) -> ComplexMatrix:
     a = as_matrix(c)
     k = a.shape[0]
     m = compress(x, d, k)
-    return np.kron(a * m, np.eye(d))
+    return embed(a * m, d)
 
 
 def lift_channel(t, d: int, x, dim: int | None = None) -> ComplexMatrix:
     """Action of (depolarise the blocks) tensor (T on the grid)."""
     apply, k = _as_apply(t, dim)
     m = compress(x, d, k)
-    return np.kron(apply(m), np.eye(d))
+    return embed(apply(m), d)
 
 
 def delta_apply(x, d: int, k: int) -> ComplexMatrix:
     """Blockwise depolarisation: each block X_ij becomes tr_d(X_ij) * I_d."""
-    return np.kron(compress(x, d, k), np.eye(d))
+    return embed(compress(x, d, k), d)
 
 
 def delta_compress(phi, d: int, k: int) -> ChoiMatrix:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 malformed input or usage, 3 residual above the
 requested tolerance, 4 verification failure, 5 numeric domain error,
-a LAPACK routine that fails to converge among them.
+a LAPACK routine that fails to converge and an array too large to
+allocate among them.
 """
 
 from __future__ import annotations
@@ -366,6 +367,9 @@ def main(argv=None) -> int:
         return 4
     except (MufactError, np.linalg.LinAlgError) as exc:
         print(f"numeric domain error: {exc}", file=sys.stderr)
+        return 5
+    except MemoryError as exc:  # numpy's message names the size asked for
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 5
 
 

@@ -13,10 +13,6 @@ class NotHermitian(MufactError):
     """Matrix fails the Hermitian pre-check."""
 
 
-class NoConvergence(MufactError):
-    """An iterative kernel failed to converge."""
-
-
 class NotPSD(MufactError):
     """Matrix has an eigenvalue below the PSD tolerance floor."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .linalg import (
 from .channels import (
     UNITARY_TOL,
     MixedUnitaryEnsemble,
+    _gram_choi,
     check_weights,
     d_biaverage,
     delta_compress,
@@ -234,8 +235,7 @@ def tuples_from_ensemble(
         raise NotUnitary(f"diagonal block {bad} is not unitary")
     require_finite(target, "target")
     # entry ((i, r, a), (j, s, b)) is sum_m p_m V_i[r, a] conj(V_j[s, b])
-    w = diag.reshape(ensemble.size, k * d * d)
-    got = (w.T * ensemble.weights) @ np.conj(w)
+    got = _gram_choi(ensemble.weights, diag.reshape(ensemble.size, k * d, d).swapaxes(1, 2))
     worst = np.abs(got - np.kron(target / d, np.eye(d * d))).max(initial=0.0)
     if not worst <= tol:
         raise NotAFactorisation(
@@ -748,11 +748,5 @@ def _bound(shape, data, d, atoms, restarts, max_iters, tol, seed) -> DistanceBou
     half = d // 2
     lifted[:, :, :half, :half] = small.tuples
     lifted[:, :, half:, half:] = small.tuples
-    cert = GramCertificate(
-        ensemble=UnitaryTupleEnsemble(small.weights, lifted),
-        achieved=sub.certificate.achieved,
-        target=target,
-        residual_fro=sub.certificate.residual_fro,
-        residual_max=sub.certificate.residual_max,
-    )
-    return DistanceBound(d=d, value=sub.value, certificate=cert, cb=sub.cb)
+    cert = replace(sub.certificate, ensemble=UnitaryTupleEnsemble(small.weights, lifted))
+    return replace(sub, d=d, certificate=cert)

@@ -48,7 +48,8 @@ def load_json(path: str, digests: dict | None = None):
         with open(path, "rb") as fh:
             data = fh.read()
         obj = json.loads(data.decode("utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+    # ValueError: bad JSON or bad UTF-8; RecursionError: JSON nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     if digests is not None:
         digests[path] = hashlib.sha256(data).hexdigest()

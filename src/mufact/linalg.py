@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MufactError, NoConvergence, NotHermitian, ShapeMismatch
+from .errors import MufactError, NotHermitian, ShapeMismatch
 
 ComplexMatrix = np.ndarray
 Seed = int
@@ -75,10 +75,7 @@ def herm_eig(a) -> tuple[np.ndarray, ComplexMatrix]:
         raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
     if not frob(m - dagger(m)) <= HERM_TOL * tol_scale(m):
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    try:
-        vals, vecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(str(exc)) from exc
+    vals, vecs = np.linalg.eigh(m)
     order = slice(None, None, -1)  # eigh is ascending
     return vals[order].copy(), vecs[:, order].copy()
 

@@ -11,11 +11,12 @@ singular values, so `schur_cb_norm` brackets the norm with one loop of
 such steps; both ends are sound. Three factorisations with closed-form
 bounds start the upper end: A = A I (the row norms), A = I A (the column
 norms), and the split of A into the positive and negative parts of its
-Hermitian and skew parts. So every upper end is a factorisation. The bracket keeps a witness for each end (the weights and
-unitary (x, y, W) of the lower end, the factors (R, C) of the upper end),
-and `NormEstimate.check` recomputes both ends from them. Since W is
-unitary, ||A o W|| lies between the two ends: one more SVD gives a sound
-lower bound on the operator norm of S_A, `NormEstimate.witness_norm`.
+Hermitian and skew parts. So every upper end is a factorisation. The
+bracket keeps a witness for each end (the weights and unitary (x, y, W)
+of the lower end, the factors (R, C) of the upper end), and
+`NormEstimate.check` recomputes both ends from them. Since W is unitary,
+||A o W|| lies between the two ends: one more SVD gives a sound lower
+bound on the operator norm of S_A, `NormEstimate.witness_norm`.
 """
 
 from __future__ import annotations

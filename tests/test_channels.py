@@ -27,6 +27,7 @@ from mufact import (
     lift_schur,
     random_haar_unitary,
     rng_from_seed,
+    schur_apply,
     to_blocks,
     verify_channel,
     weyl_unitaries,
@@ -418,3 +419,22 @@ def test_cp_check_fails_when_the_choi_norm_is_not_a_float():
 def test_sign_oracle_dimension_cap():
     with pytest.raises(DimensionTooLarge):
         biaverage_pm_oracle(lambda x: x, dim=9)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ChoiMatrix(np.eye(3), 2), r"must be 4x4, got \(3, 3\)"),
+        (lambda: ChoiMatrix(np.eye(4), 2).apply(np.eye(3)), "expected a 2x2 input"),
+        (lambda: MixedUnitaryEnsemble([1.0], np.zeros((1, 2, 3))), "stack of square matrices"),
+        (lambda: MixedUnitaryEnsemble([0.5, 0.5], np.eye(2)[None]), "weight count"),
+        (lambda: SchurSymbol(np.ones((2, 3))), "symbol must be square"),
+        (lambda: schur_apply(np.eye(2), np.eye(3)), "does not match input"),
+        (lambda: weyl_unitaries(0), "at least 1"),
+    ],
+    ids=["choi-side", "choi-apply", "non-square-members", "weight-count", "symbol",
+         "schur-apply", "weyl-0"],
+)
+def test_a_wrong_shape_raises_shape_mismatch(call, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        call()

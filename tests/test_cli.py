@@ -15,7 +15,7 @@ import pytest
 import mufact
 import mufact.cli as cli
 import mufact.norms as norms
-from mufact import choi_of, fileio
+from mufact import choi_of, errors, fileio
 from mufact.cli import build_parser, main
 
 
@@ -72,6 +72,36 @@ def test_malformed_input_exits_2(tmp_path):
     bad.write_bytes(b'\xff{"rows": 1}')  # not UTF-8
     rc, _, err = run(["verify", "--what", "correlation", str(bad)])
     assert rc == 2 and "utf-8" in err
+    bad.write_text("[" * 100_000 + "]" * 100_000)  # deeper than the parser recurses
+    rc, _, err = run(["verify", "--what", "correlation", str(bad)])
+    assert rc == 2 and "recursion" in err
+
+
+ERRORS = [e for e in vars(errors).values() if isinstance(e, type) and issubclass(e, Exception)]
+# the documented exit code of each error that does not exit 5
+EXIT_CODES = {
+    errors.FileFormatError: 2,
+    errors.ShapeMismatch: 2,
+    errors.NotAFactorisation: 4,
+    errors.NotBlockDiagonal: 4,
+    errors.NotUnitary: 4,
+}
+
+
+@pytest.mark.parametrize(
+    "error", ERRORS + [np.linalg.LinAlgError, MemoryError], ids=lambda e: e.__name__
+)
+def test_every_error_ends_with_its_documented_exit_code(tmp_path, monkeypatch, error):
+    a = str(tmp_path / "a.json")
+    fileio.save_matrix(a, np.eye(2))
+
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "schur_cb_norm", fail)
+    rc, out, err = run(["norms", "--A", a])
+    assert rc == EXIT_CODES.get(error, 5) and out == ""
+    assert "injected" in err and "Traceback" not in err
 
 
 def test_a_report_digests_the_bytes_the_command_parsed(tmp_path, monkeypatch):
@@ -247,6 +277,15 @@ def test_verify_certificate_with_a_non_numeric_residual_exits_2(tmp_path, field,
     bad.write_text(json.dumps(dict(obj, **{field: "@"})).replace('"@"', text))
     rc, _, err = run(["verify", "--what", "certificate", str(bad)])
     assert rc == 2 and "residuals must be finite numbers" in err
+
+
+def test_verify_certificate_whose_achieved_gram_was_moved_exits_4(tmp_path):
+    ens = mufact.random_tuple_ensemble(3, 2, 2, mufact.rng_from_seed(8))
+    cert = mufact.GramCertificate.build(ens, ens.gram_average())
+    cert.achieved[0, 1] += 1e-9
+    path = _write(tmp_path / "c.json", fileio.certificate_to_json(cert))
+    rc, out, _ = run(["verify", "--what", "certificate", path])
+    assert rc == 4 and "FAIL (stored Gram average off by" in out
 
 
 # ---------------------------------------------------------------------------

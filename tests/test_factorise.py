@@ -98,11 +98,19 @@ def test_certificate_build_and_verify():
     verify_certificate(cert)
 
 
-def test_certificate_detects_tampering():
+@pytest.mark.parametrize(
+    "field, message",
+    [("residual_fro", "stored residuals"), ("achieved", "stored Gram average off by")],
+    ids=["residual_fro", "achieved"],
+)
+def test_certificate_detects_tampering(field, message):
     ens = random_tuple_ensemble(3, 1, 2, rng_from_seed(33))
     cert = GramCertificate.build(ens, ens.gram_average())
-    cert.residual_fro += 1e-6
-    with pytest.raises(MufactError):
+    if field == "achieved":
+        cert.achieved[0, 1] += 1e-9
+    else:
+        cert.residual_fro += 1e-6
+    with pytest.raises(MufactError, match=message):
         verify_certificate(cert)
 
 
@@ -1390,3 +1398,25 @@ def test_any_change_of_input_misses_the_memo(monkeypatch, change):
     dist_upper_bound(c, 1, **solver)
     dist_upper_bound(c, 1, **solver)
     assert calls == [1, 1]
+
+
+def _identity_on(n):
+    """The one-member ensemble {(1, I_n)}."""
+    return MixedUnitaryEnsemble([1.0], np.eye(n)[None])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: UnitaryTupleEnsemble([0.5, 0.5], np.ones((1, 2, 1, 1))), "weight count"),
+        (lambda: tuples_from_ensemble(_identity_on(2), np.eye(3), 1, 2),
+         r"expected a 2x2 correlation matrix, got \(3, 3\)"),
+        (lambda: correction_pipeline(np.eye(2), _identity_on(3), 0.1, 1),
+         "ensemble dimension 3 does not match d=1 and k=2"),
+        (lambda: membership_solve(np.ones((2, 3)), 1), "target must be square"),
+    ],
+    ids=["weight-count", "extract-c", "correct-dim", "solve-target"],
+)
+def test_a_wrong_shape_raises_shape_mismatch(call, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        call()

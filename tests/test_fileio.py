@@ -280,3 +280,8 @@ def test_a_bad_weight_is_named():
     for bad in (math.nan, "0.25", None, 10 ** 400):
         with pytest.raises(FileFormatError, match=r"^weights\[1\] is not a finite number$"):
             fileio.ensemble_from_json(dict(ens, weights=[0.25, bad, 0.25, 0.25]))
+
+
+def test_matrix_to_json_rejects_a_1d_array():
+    with pytest.raises(FileFormatError, match=r"2-d arrays, got shape \(3,\)"):
+        fileio.matrix_to_json(np.zeros(3))

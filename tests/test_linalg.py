@@ -13,7 +13,8 @@ from mufact import (
     random_haar_unitary,
     rng_from_seed,
 )
-from mufact.linalg import below_psd_floor, frob, random_haar_unitaries, require_finite, tol_scale
+from mufact.linalg import as_matrix, below_psd_floor, frob, random_haar_unitaries, require_finite
+from mufact.linalg import tol_scale
 
 
 def rand_herm(n, rng):
@@ -135,3 +136,8 @@ def test_random_correlation_is_psd_with_unit_diagonal():
     assert np.allclose(c, c.conj().T, atol=1e-14)
     assert np.abs(np.diagonal(c) - 1.0).max() <= 1e-12
     assert np.linalg.eigvalsh(c).min() >= -1e-12
+
+
+def test_as_matrix_rejects_a_1d_array():
+    with pytest.raises(ShapeMismatch, match=r"expected a 2-d array, got shape \(3,\)"):
+        as_matrix(np.zeros(3))
