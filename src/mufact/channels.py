@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import ComplexMatrix, as_matrix, frob, herm_eig, unitarity_defects
-from .linalg import below_psd_floor, tol_scale
+from .linalg import _first_block, below_psd_floor, tol_scale
 
 # |sum of weights - 1|, ||U* U - I||_F and |c_ii - 1| allowed by the checks
 WEIGHT_TOL = 1e-12
@@ -71,14 +71,22 @@ def embed(b, d: int) -> ComplexMatrix:
 # channel representations
 
 
-def check_weights(weights: np.ndarray) -> None:
-    """Raise unless the weights sum to 1 within WEIGHT_TOL and are all strictly positive."""
+def _check_ensemble(weights: np.ndarray, members: np.ndarray, where: str) -> None:
+    """Raise unless the weights sum to 1 within WEIGHT_TOL and are all strictly
+    positive, and every member of the stack is unitary within UNITARY_TOL.
+
+    NotUnitary names the first member that is not, as where.format(*index):
+    "ensemble member {}" or "tuple {} entry {}".
+    """
     total = float(np.sum(weights))
     # the checks are written as not (x <= tol) and not (x > 0), so a NaN fails them
     if not abs(total - 1.0) <= WEIGHT_TOL:
         raise MufactError(f"weights sum to {total!r}, expected 1")
     if not weights.min(initial=1.0) > 0.0:
         raise MufactError("weights must be strictly positive")
+    bad = _first_block(~(unitarity_defects(members) <= UNITARY_TOL))
+    if bad is not None:
+        raise NotUnitary(f"{where.format(*bad)} is not unitary within tolerance")
 
 
 @dataclass
@@ -166,10 +174,7 @@ class MixedUnitaryEnsemble:
 
     def check(self):
         """Raise unless weights form a positive convex combination of unitaries."""
-        check_weights(self.weights)
-        bad = np.flatnonzero(~(unitarity_defects(self.unitaries) <= UNITARY_TOL))
-        if bad.size:
-            raise NotUnitary(f"ensemble member {bad[0]} is not unitary within tolerance")
+        _check_ensemble(self.weights, self.unitaries, "ensemble member {}")
         return self
 
     def apply(self, x) -> ComplexMatrix:
@@ -366,12 +371,11 @@ def verify_channel(t, dim: int | None = None) -> ChannelReport:
 def lift_schur(c, d: int, x) -> ComplexMatrix:
     """Action of the depolarising-tensor-Schur map on a composite matrix.
 
-    Block (i, j) of the input is sent to c_ij * tr_d(X_ij) * I_d.
+    Block (i, j) of the input is sent to c_ij * tr_d(X_ij) * I_d: the lift
+    of the Schur multiplier of c.
     """
     a = as_matrix(c)
-    k = a.shape[0]
-    m = compress(x, d, k)
-    return embed(a * m, d)
+    return lift_channel(lambda m: schur_apply(a, m), d, x, a.shape[0])
 
 
 def lift_channel(t, d: int, x, dim: int | None = None) -> ComplexMatrix:
@@ -402,7 +406,7 @@ def delta_compress(phi, d: int, k: int) -> ChoiMatrix:
     if isinstance(phi, MixedUnitaryEnsemble):
         if n == 0:
             raise ShapeMismatch("ensemble members must be non-empty")
-        ops = phi.unitaries.reshape(-1, k, d, k, d).transpose(0, 2, 4, 1, 3)
+        ops = to_blocks(phi.unitaries, d, k).transpose(0, 3, 4, 1, 2)  # (m, r, s, i, j)
         weights = np.repeat(phi.weights / d, d * d)
         return ChoiMatrix(_gram_choi(weights, ops.reshape(-1, k, k)), k)
     return choi_of(lambda b: compress(apply(embed(b, d)), d, k), k)
@@ -422,9 +426,8 @@ def d_biaverage(t, dim: int | None = None) -> ComplexMatrix:
     choi = choi_of(t, dim)
     if not choi.cp_check()[1]:
         raise NotCP("Choi matrix has a negative eigenvalue beyond tolerance")
-    k = choi.k
-    idx = np.arange(k) * k + np.arange(k)  # composite index of (i, i)
-    return choi.matrix[np.ix_(idx, idx)].copy()
+    i, j = np.ogrid[:choi.k, :choi.k]
+    return to_blocks(choi.matrix, choi.k, choi.k)[i, j, i, j]  # entry (i, j) of block (i, j)
 
 
 def biaverage_pm_oracle(t, dim: int | None = None) -> ComplexMatrix:
@@ -454,6 +457,6 @@ def biaverage_pm_oracle(t, dim: int | None = None) -> ComplexMatrix:
             avg = second[i][:, None] * y * second[j][None, :]
             b[i, j] = avg[i, j]
             avg[i, j] = 0.0
-            if np.abs(avg).max() > SIGN_SUPPORT_TOL * (1.0 + np.abs(y).max()):
+            if not np.abs(avg).max() <= SIGN_SUPPORT_TOL * (1.0 + np.abs(y).max()):
                 raise MufactError("sign biaverage is not a Schur multiplier")
     return b

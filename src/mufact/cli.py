@@ -91,12 +91,18 @@ def _load_choi(path: str, digests: dict | None = None) -> ChoiMatrix:
     return ChoiMatrix(m, k)
 
 
-def _emit(args, command: str, inputs: dict, digests: dict, results: dict, t0: float) -> dict:
-    """Write the report; inputs maps names to paths, digests paths to the
-    sha256 of the bytes loaded from them."""
+def _emit(args, results: dict, inputs: tuple[str, ...], certificate=None) -> dict:
+    """Write the report of args.command; inputs names the arguments that hold
+    input paths, each reported with the sha256 of the bytes loaded from it.
+    A certificate is written to <out>.certificate.json first, and its path
+    added to the results."""
+    if certificate is not None:
+        results["certificate_path"] = cert_path = args.out + ".certificate.json"
+        fileio.save_json(cert_path, fileio.certificate_to_json(certificate))
+    paths = {name: getattr(args, name) for name in inputs}
     report = fileio.report_json(
-        command, args._argv, {name: (p, digests[p]) for name, p in inputs.items()},
-        getattr(args, "seed", None), results, time.perf_counter() - t0,
+        args.command, args._argv, {name: (p, args._digests[p]) for name, p in paths.items()},
+        getattr(args, "seed", None), results, time.perf_counter() - args._t0,
     )
     out = getattr(args, "out", None)
     if out:
@@ -129,24 +135,19 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_factorise(args) -> int:
-    t0 = time.perf_counter()
-    digests = {}
-    c = fileio.load_matrix(args.C, digests)
+    c = fileio.load_matrix(args.C, args._digests)
     cert = membership_solve(
         c, args.d, atoms=args.atoms, restarts=args.restarts,
         max_iters=args.max_iters, tol=args.tol, seed=args.seed,
     )
-    cert_path = args.out + ".certificate.json"
-    fileio.save_json(cert_path, fileio.certificate_to_json(cert))
     results = {
         "residual_fro": cert.residual_fro,
         "residual_max": cert.residual_max,
         "atoms": cert.ensemble.size,
         "achieved": cert.achieved,
         "tol": args.tol,
-        "certificate_path": cert_path,
     }
-    _emit(args, "factorise", {"C": args.C}, digests, results, t0)
+    _emit(args, results, ("C",), cert)
     ok = cert.residual_fro <= args.tol
     print(
         f"residual_fro={cert.residual_fro:.6e} "
@@ -175,27 +176,22 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_correct(args) -> int:
-    t0 = time.perf_counter()
-    digests = {}
-    c = _load_square(args.C, "target", digests)
-    phi = _load_ensemble(args.phi, MixedUnitaryEnsemble, digests)
+    c = _load_square(args.C, "target", args._digests)
+    phi = _load_ensemble(args.phi, MixedUnitaryEnsemble, args._digests)
     k = c.shape[0]
     if phi.dim % k != 0:
         raise FileFormatError(
             f"ensemble dimension {phi.dim} is not a multiple of k={k}"
         )
     report = correction_pipeline(c, phi, args.epsilon, phi.dim // k)
-    cert_path = args.out + ".certificate.json"
-    fileio.save_json(cert_path, fileio.certificate_to_json(report.certificate))
     results = {
         "c_tilde": report.c_tilde,
-        "c_hat": report.c_hat,
+        "c_hat": report.certificate.achieved,
         "max_abs_delta": report.max_abs_delta,
         "epsilon_in": report.epsilon_in,
         "bound_ok": report.bound_ok,
-        "certificate_path": cert_path,
     }
-    _emit(args, "correct", {"C": args.C, "phi": args.phi}, digests, results, t0)
+    _emit(args, results, ("C", "phi"), report.certificate)
     print(
         f"max_abs_delta={report.max_abs_delta:.6e} vs 2*epsilon={2 * args.epsilon:g} "
         f"(bound_ok={report.bound_ok}); report at {args.out}"
@@ -204,9 +200,7 @@ def _cmd_correct(args) -> int:
 
 
 def _cmd_norms(args) -> int:
-    t0 = time.perf_counter()
-    digests = {}
-    a = _load_square(args.A, "symbol", digests)
+    a = _load_square(args.A, "symbol", args._digests)
     est = schur_cb_norm(a)
     results = {
         "cb_lower": est.lower,
@@ -216,8 +210,7 @@ def _cmd_norms(args) -> int:
     }
     if args.psd:
         results["psd_norm"] = schur_norm_psd(a)
-    _emit(args, "norms", {"A": args.A}, digests, results, t0)
-    print(fileio.dumps(fileio.rounded(results)))
+    print(fileio.dumps(_emit(args, results, ("A",))["results"]))
     return 0
 
 
@@ -248,16 +241,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_biaverage(args) -> int:
-    t0 = time.perf_counter()
-    digests = {}
-    choi = _load_choi(args.choi, digests)
+    choi = _load_choi(args.choi, args._digests)
     b = d_biaverage(choi)
     results = {"k": choi.k, "symbol": b}
     if choi.k <= SIGN_ORACLE_MAX_K:
         oracle = biaverage_pm_oracle(choi)
         results["oracle_max_diff"] = float(abs(b - oracle).max())
-    _emit(args, "biaverage", {"choi": args.choi}, digests, results, t0)
-    print(fileio.dumps(fileio.rounded(results)))
+    print(fileio.dumps(_emit(args, results, ("choi",))["results"]))
     return 0
 
 
@@ -356,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    args._argv = argv
+    # what _emit reports: the argv, the start time, and input path -> sha256
+    args._argv, args._t0, args._digests = argv, time.perf_counter(), {}
     try:
         return args.func(args)
     except (FileFormatError, ShapeMismatch) as exc:

@@ -25,6 +25,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import (
+    _check_counts,
+    _check_tols,
+    _first_block,
     as_matrix,
     frob,
     random_haar_unitaries,
@@ -33,10 +36,9 @@ from .linalg import (
     unitarity_defects,
 )
 from .channels import (
-    UNITARY_TOL,
     MixedUnitaryEnsemble,
+    _check_ensemble,
     _gram_choi,
-    check_weights,
     d_biaverage,
     delta_compress,
     to_blocks,
@@ -52,8 +54,9 @@ BIAVERAGE_CROSSCHECK_TOL = 1e-9
 # recent dist_upper_bound results kept: one target's walk from d = 1 to 128
 DIST_MEMO_SIZE = 8
 # relative misfit decrease at or below which _gn_polish stops: MINPACK's
-# default ftol, sqrt of the float64 machine epsilon
+# default ftol, sqrt of the float64 machine epsilon; and its iteration cap
 _GN_FTOL = float(np.sqrt(np.finfo(float).eps))
+_GN_ITERS = 60
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +89,7 @@ class UnitaryTupleEnsemble:
         return self.tuples.shape[2]
 
     def check(self):
-        check_weights(self.weights)
-        bad = _first_block(~(unitarity_defects(self.tuples) <= UNITARY_TOL))
-        if bad is not None:
-            raise NotUnitary(f"tuple {bad[0]} entry {bad[1]} is not unitary within tolerance")
+        _check_ensemble(self.weights, self.tuples, "tuple {} entry {}")
         return self
 
     def gram_average(self) -> np.ndarray:
@@ -107,12 +107,6 @@ def _tuple_stack(a, axes: str) -> np.ndarray:
     if a.ndim != len(axes) or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise ShapeMismatch(f"expected a ({', '.join(axes)}) stack with d >= 1, got {a.shape}")
     return a
-
-
-def _first_block(mask: np.ndarray) -> tuple[int, ...] | None:
-    """Index of the first True entry of a mask over a stack, or None; () on 0-d."""
-    hits = np.argwhere(mask)
-    return tuple(int(i) for i in hits[0]) if len(hits) else None
 
 
 def _grams(stack: np.ndarray) -> np.ndarray:
@@ -161,6 +155,7 @@ class GramCertificate:
 
     def check(self, tol: float = GRAM_RECOMPUTE_TOL):
         """Re-derive everything from the ensemble and compare with the stored copy."""
+        _check_tols(tol=tol)
         self.ensemble.check()
         fresh = self.ensemble.gram_average()
         drift = np.abs(fresh - self.achieved).max(initial=0.0)
@@ -177,7 +172,8 @@ class GramCertificate:
 
 
 def verify_certificate(cert: GramCertificate, tol: float = GRAM_RECOMPUTE_TOL):
-    """Validate a certificate's internal consistency; raises on failure."""
+    """Validate a certificate's internal consistency; raises on failure, and
+    MufactError first on a tol that is not finite and >= 0."""
     return cert.check(tol)
 
 
@@ -212,9 +208,11 @@ def tuples_from_ensemble(
     With row m of W the blocks of member m laid end to end, that is the
     Gram product (W^T * p) @ conj(W) equalling kron(c / d, I_{d^2}). The
     extracted tuples store the adjoints of the blocks, so their Gram average
-    reproduces c. A NaN or infinite entry of c, or a Frobenius norm that
-    overflows, raises MufactError once the ensemble has passed its checks.
+    reproduces c. A tol that is not finite and >= 0 raises MufactError
+    first; a NaN or infinite entry of c, or a Frobenius norm that
+    overflows, once the ensemble has passed its checks.
     """
+    _check_tols(tol=tol)
     ensemble.check()
     target = as_matrix(c)
     if target.shape != (k, k):
@@ -272,7 +270,7 @@ def halmos_dilate(x) -> np.ndarray:
     d = m.shape[-1]
     p, s, qh = np.linalg.svd(m)
     nrm = s.max(axis=-1, initial=0.0)
-    at = _first_block(nrm > 1.0 + DILATION_TOL)
+    at = _first_block(~(nrm <= 1.0 + DILATION_TOL))
     if at is not None:
         where = f"block {at} " if at else ""
         raise NormTooLarge(
@@ -288,7 +286,7 @@ def halmos_dilate(x) -> np.ndarray:
     w[..., :d, :d] = w[..., d:, d:] = m
     w[..., :d, d:] = b
     w[..., d:, :d] = -b
-    at = _first_block(unitarity_defects(w) > DILATION_TOL)
+    at = _first_block(~(unitarity_defects(w) <= DILATION_TOL))
     if at is not None:
         where = f" at block {at}" if at else ""
         raise MufactError(f"dilation failed to produce a unitary{where}")
@@ -300,7 +298,6 @@ class CorrectionReport:
     """Outcome of the correction pipeline on an approximate factorisation."""
 
     c_tilde: np.ndarray
-    c_hat: np.ndarray
     certificate: GramCertificate
     max_abs_delta: float
     epsilon_in: float
@@ -317,17 +314,19 @@ def correction_pipeline(
     matrix c_tilde is computed twice (directly, and through compression plus
     biaverage) and cross-checked. Dilating each block to a 2d x 2d unitary
     yields an exact factorisation at dimension 2d whose Gram average c_hat
-    deviates from c by less than 2*epsilon whenever phi was epsilon-close
-    to exact (bound_ok records whether that happened).
+    (certificate.achieved) deviates from c by less than 2*epsilon whenever
+    phi was epsilon-close to exact (bound_ok records whether that happened).
 
     c_hat depends on each dilated tuple only through its Gram matrix, so
     the certificate holds one atom per distinct Gram matrix (within
     GRAM_RECOMPUTE_TOL in Frobenius norm), carrying the pooled weight of
     its members, heaviest first. A mu ensemble's d^4 Weyl-sandwiched copies
-    of a tuple share one Gram matrix, and so do their dilations. A NaN or
-    infinite entry of c, or a Frobenius norm that overflows, raises
-    MufactError once the shapes and phi have passed their checks.
+    of a tuple share one Gram matrix, and so do their dilations. An epsilon
+    that is not finite and >= 0 raises MufactError first; a NaN or
+    infinite entry of c, or a Frobenius norm that overflows, once the
+    shapes and phi have passed their checks.
     """
+    _check_tols(epsilon=epsilon)
     target = as_matrix(c)
     k = target.shape[0]
     if target.shape != (k, k) or phi.dim != d * k:
@@ -341,7 +340,7 @@ def correction_pipeline(
 
     c_tilde = np.einsum("m,mij->ij", phi.weights, _grams(np.conj(diag)))
     via_choi = d_biaverage(delta_compress(phi, d, k))
-    if np.abs(c_tilde - via_choi).max() > BIAVERAGE_CROSSCHECK_TOL:
+    if not np.abs(c_tilde - via_choi).max() <= BIAVERAGE_CROSSCHECK_TOL:
         raise MufactError("compressed-map biaverage disagrees with block Grams")
 
     dil = np.ascontiguousarray(np.conj(np.swapaxes(halmos_dilate(diag), -1, -2)))
@@ -349,7 +348,6 @@ def correction_pipeline(
     cert = GramCertificate.build(UnitaryTupleEnsemble(weights, reps), target)
     return CorrectionReport(
         c_tilde=c_tilde,
-        c_hat=cert.achieved,
         certificate=cert,
         max_abs_delta=cert.residual_max,
         epsilon_in=float(epsilon),
@@ -478,7 +476,7 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return out
 
 
-def _gn_polish(p, atoms, target, d: int, tol: float, iters: int = 60):
+def _gn_polish(p, atoms, target, d: int, tol: float):
     """Damped Gauss-Newton refinement around an alternating-descent iterate.
 
     Parameters are tangent rotations exp(iH) per tuple entry plus additive
@@ -498,7 +496,7 @@ def _gn_polish(p, atoms, target, d: int, tol: float, iters: int = 60):
     Appl. Math. 172, 2004): its column of J is zeroed and J J^T factored
     once more, so every damping try keeps it at exactly 0. A zero weight
     whose step points inward keeps its column and can revive. The polish
-    ends at the iteration cap, when no damping try lowers the misfit f,
+    ends after _GN_ITERS iterations, when no damping try lowers the misfit f,
     when f <= 0.01 tol^2, or once an accepted step lowers f by at most
     sqrt(eps) f (MINPACK's default ftol); that step is kept.
     """
@@ -513,7 +511,7 @@ def _gn_polish(p, atoms, target, d: int, tol: float, iters: int = 60):
     resid = achieved - target
     f = float(np.vdot(resid, resid).real)
     lam = 1e-4
-    for _ in range(iters):
+    for _ in range(_GN_ITERS):
         if f <= 0.01 * tol * tol:
             break
         r = resid[iu, ju]
@@ -628,17 +626,6 @@ def _solve_single(target, d: int, m_cnt: int, max_iters: int, tol: float, rng):
     return f, p, atoms
 
 
-def _check_counts(**counts) -> None:
-    """MufactError unless each count is an int or np.integer (no bool) at its
-    floor: 0 for k and max_iters, 1 for the rest."""
-    for name, value in counts.items():
-        floor = 0 if name in ("k", "max_iters") else 1
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise MufactError(f"{name} must be an integer, got {value!r}")
-        if value < floor:
-            raise MufactError(f"{name} must be at least {floor}, got {value}")
-
-
 def membership_solve(
     c,
     d: int,
@@ -662,10 +649,11 @@ def membership_solve(
     Frobenius residual reaches tol; if none does, the best misfit wins with
     ties broken by the lowest index. Restart r draws from its own stream
     rng_from_seed(seed, (r,)), so its run does not depend on the others. A
-    NaN or infinite entry of c, or a Frobenius norm that overflows, raises
-    MufactError.
+    tol that is not finite and >= 0, a NaN or infinite entry of c, or a
+    Frobenius norm that overflows raises MufactError.
     """
     _check_counts(d=d, atoms=1 if atoms is None else atoms, restarts=restarts, max_iters=max_iters)
+    _check_tols(tol=tol)
     target = require_finite(as_matrix(c), "target")
     k = target.shape[0]
     if target.shape != (k, k):
@@ -719,11 +707,12 @@ def dist_upper_bound(
     memoised by their exact inputs: the bytes and shape of c and every
     other argument. So walking d = 1, 2, 4, ... on one target runs each
     search once. A hit returns a deep copy that is bit for bit what a cold
-    call returns, and shares no array with the memo or with c. A NaN or
-    infinite entry of c, or a Frobenius norm that overflows, raises
-    MufactError before the memo is consulted.
+    call returns, and shares no array with the memo or with c. A tol that
+    is not finite and >= 0, a NaN or infinite entry of c, or a Frobenius
+    norm that overflows raises MufactError before the memo is consulted.
     """
     _check_counts(d=d, atoms=1 if atoms is None else atoms, restarts=restarts, max_iters=max_iters)
+    _check_tols(tol=tol)
     target = require_finite(as_matrix(c), "target")
     bound = _bound(target.shape, target.tobytes(), d, atoms, restarts, max_iters, tol, seed)
     return copy.deepcopy(bound)
@@ -745,8 +734,6 @@ def _bound(shape, data, d, atoms, restarts, max_iters, tol, seed) -> DistanceBou
         return DistanceBound(d=d, value=cb.upper, certificate=fresh, cb=cb)
     small = sub.certificate.ensemble
     lifted = np.zeros((small.size, small.k, d, d), dtype=complex)
-    half = d // 2
-    lifted[:, :, :half, :half] = small.tuples
-    lifted[:, :, half:, half:] = small.tuples
+    to_blocks(lifted, d // 2, 2)[:, :, range(2), range(2)] = small.tuples[:, :, None]  # U + U
     cert = replace(sub.certificate, ensemble=UnitaryTupleEnsemble(small.weights, lifted))
     return replace(sub, d=d, certificate=cert)

@@ -42,6 +42,25 @@ def require_finite(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
+def _check_counts(**counts) -> None:
+    """MufactError unless each count is an int or np.integer (no bool) at its
+    floor: 0 for k and max_iters, 1 for the rest."""
+    for name, value in counts.items():
+        floor = 0 if name in ("k", "max_iters") else 1
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise MufactError(f"{name} must be an integer, got {value!r}")
+        if value < floor:
+            raise MufactError(f"{name} must be at least {floor}, got {value}")
+
+
+def _check_tols(**tols) -> None:
+    """MufactError unless each tolerance is finite and >= 0; 0 asks for an
+    exact match."""
+    for name, value in tols.items():
+        if not 0.0 <= value < np.inf:  # a NaN fails both comparisons
+            raise MufactError(f"{name} must be finite and at least 0, got {value!r}")
+
+
 def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
@@ -101,6 +120,12 @@ def unitarity_defects(u) -> np.ndarray:
     u = np.asarray(u)
     gram = np.conj(np.swapaxes(u, -1, -2)) @ u
     return np.linalg.norm(gram - np.eye(u.shape[-1]), axis=(-2, -1))
+
+
+def _first_block(mask: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first True entry of a mask over a stack, or None; () on 0-d."""
+    hits = np.argwhere(mask)
+    return tuple(int(i) for i in hits[0]) if len(hits) else None
 
 
 def rng_from_seed(seed: Seed, key: tuple[int, ...] = ()) -> np.random.Generator:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MufactError, NotPSD, ShapeMismatch
-from .linalg import as_matrix, dagger, herm_eig, op_norm, rng_from_seed
+from .linalg import _check_tols, as_matrix, dagger, herm_eig, op_norm, rng_from_seed
 from .linalg import below_psd_floor, random_haar_unitaries, require_finite, unitarity_defects
 from .channels import UNITARY_TOL, choi_of, to_blocks
 
@@ -208,8 +208,10 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
     sets it, it is (e_i, e_j) and the cyclic shift with w_ij = 1. The upper
     end's is the (R, C) of the factorisation that set it. A non-square
     symbol raises ShapeMismatch; a NaN or infinite entry, or a Frobenius
-    norm that overflows, MufactError.
+    norm that overflows, MufactError, as does a rel_gap that is not finite
+    and >= 0.
     """
+    _check_tols(rel_gap=rel_gap)
     m = require_finite(as_matrix(a), "symbol")
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"symbol must be square, got {m.shape}")

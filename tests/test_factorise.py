@@ -1,5 +1,8 @@
 """Unit tests for Gram certificates, dilation, correction and the solver."""
 
+import io
+from contextlib import redirect_stderr
+
 import numpy as np
 import pytest
 
@@ -24,11 +27,13 @@ from mufact import (
     random_haar_unitary,
     random_tuple_ensemble,
     rng_from_seed,
+    schur_cb_norm,
     to_blocks,
     tuples_from_ensemble,
     verify_certificate,
 )
 from mufact import fileio
+from mufact.cli import main
 from mufact.channels import UNITARY_TOL
 from mufact.linalg import random_haar_unitaries, unitarity_defects
 
@@ -417,7 +422,7 @@ def test_correction_pools_the_weyl_copies_of_each_tuple():
     assert pooled.size == 3 and pooled.d == 6
     assert abs(pooled.weights.sum() - 1.0) <= 1e-12
     assert np.allclose(pooled.weights, np.sort(e0.weights)[::-1], rtol=0.0, atol=1e-12)
-    assert np.abs(rep.c_hat - _unpooled_gram_average(phi, 3, 4)).max() <= 1e-12
+    assert np.abs(rep.certificate.achieved - _unpooled_gram_average(phi, 3, 4)).max() <= 1e-12
     assert rep.max_abs_delta == rep.certificate.residual_max
     verify_certificate(rep.certificate, tol=1e-10)
 
@@ -432,8 +437,35 @@ def test_correction_keeps_every_member_whose_gram_is_distinct():
     rep = correction_pipeline(np.eye(k), phi, 1.0, d)
     order = np.argsort(ens.weights)[::-1]
     assert np.array_equal(rep.certificate.ensemble.weights, ens.weights[order])
-    assert np.abs(rep.c_hat - _unpooled_gram_average(phi, d, k)).max() <= 1e-12
+    assert np.abs(rep.certificate.achieved - _unpooled_gram_average(phi, d, k)).max() <= 1e-12
     verify_certificate(rep.certificate, tol=1e-10)
+
+
+def test_a_biaverage_that_disagrees_with_the_block_grams_is_an_error(monkeypatch, tmp_path):
+    import mufact.factorise as factorise
+
+    ens = random_tuple_ensemble(3, 2, 2, rng_from_seed(46))
+    c, phi = ens.gram_average(), mu_ensemble_from_tuples(ens)
+    biaverage = factorise.d_biaverage
+
+    def shifted(t):  # one entry off by 1e-8, above BIAVERAGE_CROSSCHECK_TOL
+        b = biaverage(t)
+        b[0, 1] += 1e-8
+        return b
+
+    monkeypatch.setattr(factorise, "d_biaverage", shifted)
+    message = "compressed-map biaverage disagrees with block Grams"
+    with pytest.raises(MufactError, match=message):
+        correction_pipeline(c, phi, 0.1, 2)
+    c_path, phi_path = str(tmp_path / "C.json"), str(tmp_path / "phi.json")
+    fileio.save_matrix(c_path, c)
+    fileio.save_json(phi_path, fileio.ensemble_to_json(phi))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        rc = main(["correct", "--C", c_path, "--phi", phi_path, "--epsilon", "0.1",
+                   "--out", str(tmp_path / "rep.json")])
+    assert rc == 5
+    assert err.getvalue() == f"numeric domain error: {message}\n"  # one line, no traceback
 
 
 def _merge_atoms_reference(p, atoms, grams, thresh):
@@ -628,6 +660,15 @@ def test_solver_moves_never_increase_the_misfit():
     assert f3 <= f2 + 1e-12
 
 
+def _polish_capped(iters, *args):
+    """`_gn_polish(*args)` with its iteration cap `_GN_ITERS` set to iters."""
+    import mufact.factorise as fz
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fz, "_GN_ITERS", iters)
+        return fz._gn_polish(*args)
+
+
 def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60, solve="eigh"):
     """Reference Gauss-Newton polish, one (atom, tuple entry) pair at a time.
 
@@ -752,11 +793,9 @@ def _polish_case(d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("iters", [1, 60])
 def test_stacked_polish_matches_the_per_entry_reference_bit_for_bit(d, iters):
-    from mufact.factorise import _gn_polish
-
     target, atoms, p, f0 = _polish_case(d)
     want = _gn_polish_per_entry(p, atoms, target, d, 1e-10, iters=iters)
-    got = _gn_polish(p.copy(), atoms.copy(), target, d, 1e-10, iters=iters)
+    got = _polish_capped(iters, p.copy(), atoms.copy(), target, d, 1e-10)
     assert want[0] < f0  # the polish moved, so the comparison is not vacuous
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
@@ -767,11 +806,9 @@ def test_stacked_polish_matches_the_per_entry_reference_bit_for_bit(d, iters):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_svd_damped_step_matches_the_lstsq_step(d):
-    from mufact.factorise import _gn_polish
-
     target, atoms, p, f0 = _polish_case(d)
     want = _gn_polish_per_entry(p, atoms, target, d, 1e-10, iters=1, solve="lstsq")
-    got = _gn_polish(p.copy(), atoms.copy(), target, d, 1e-10, iters=1)
+    got = _polish_capped(1, p.copy(), atoms.copy(), target, d, 1e-10)
     assert want[0] < f0
     assert abs(got[0] - want[0]) <= 1e-12 * want[0]
     assert np.abs(got[1] - want[1]).max() <= 1e-12 * np.abs(want[1]).max()
@@ -780,11 +817,9 @@ def test_svd_damped_step_matches_the_lstsq_step(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_row_gram_step_matches_the_svd_step(d):
-    from mufact.factorise import _gn_polish
-
     target, atoms, p, f0 = _polish_case(d)
     want = _gn_polish_per_entry(p, atoms, target, d, 1e-10, iters=1, solve="svd")
-    got = _gn_polish(p.copy(), atoms.copy(), target, d, 1e-10, iters=1)
+    got = _polish_capped(1, p.copy(), atoms.copy(), target, d, 1e-10)
     assert want[0] < f0
     assert abs(got[0] - want[0]) <= 1e-12 * want[0]
     assert np.abs(got[1] - want[1]).max() <= 1e-12 * np.abs(want[1]).max()
@@ -803,15 +838,13 @@ def _extreme_target(rng):
 
 
 def test_a_polish_that_crawls_ends_on_its_stop_before_its_cap():
-    from mufact.factorise import _gn_polish
-
     target = _extreme_target(rng_from_seed(1))
     # one solver iteration, its escape polish included, as the distance bound runs it
     start = membership_solve(target, 2, atoms=5, restarts=1, max_iters=1, tol=1e-6, seed=1)
     p, atoms = start.ensemble.weights, start.ensemble.tuples
-    free = _gn_polish(p.copy(), atoms.copy(), target, 2, 1e-6, iters=10_000)
+    free = _polish_capped(10_000, p.copy(), atoms.copy(), target, 2, 1e-6)
     assert 1e-4 < free[0] < start.residual_fro ** 2  # it moved, and cannot hit
-    capped = _gn_polish(p.copy(), atoms.copy(), target, 2, 1e-6, iters=60)
+    capped = _polish_capped(60, p.copy(), atoms.copy(), target, 2, 1e-6)
     want = _gn_polish_per_entry(p, atoms, target, 2, 1e-6, iters=60)
     for got in (capped, want):
         assert got[0] == free[0]
@@ -820,7 +853,7 @@ def test_a_polish_that_crawls_ends_on_its_stop_before_its_cap():
 
 
 def test_a_rank_deficient_jacobian_gives_a_finite_step():
-    from mufact.factorise import _gn_polish, _grams
+    from mufact.factorise import _grams
 
     # k = 2 and d = 1: both atoms share one Gram matrix, so the weight
     # columns vanish, and the rotations of the live atom's two entries
@@ -829,7 +862,7 @@ def test_a_rank_deficient_jacobian_gives_a_finite_step():
     p = np.array([1.0, 0.0])
     target = np.array([[1.0, 0.3], [0.3, 1.0]], dtype=complex)
     f0 = float(np.linalg.norm(_grams(atoms)[0] - target) ** 2)
-    f, q, turned = _gn_polish(p, atoms, target, 1, 1e-10, iters=1)
+    f, q, turned = _polish_capped(1, p, atoms, target, 1, 1e-10)
     assert np.isfinite(turned).all() and np.array_equal(q, p)
     assert f < f0
     assert np.array_equal(turned[1], atoms[1])  # the weight-0 atom stays put
@@ -837,14 +870,12 @@ def test_a_rank_deficient_jacobian_gives_a_finite_step():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_a_zero_weight_pushed_outward_is_held_at_its_bound(d):
-    from mufact.factorise import _gn_polish
-
     # atom 1 has weight 0 and its step points outward, so it is pinned: the
     # step is the one taken with atom 1 left out
     target, atoms, p, f0 = _polish_case(d)
-    f, q, turned = _gn_polish(p.copy(), atoms.copy(), target, d, 1e-10, iters=1)
+    f, q, turned = _polish_capped(1, p.copy(), atoms.copy(), target, d, 1e-10)
     keep = [0, 2, 3]
-    f_out, q_out, turned_out = _gn_polish(p[keep], atoms[keep], target, d, 1e-10, iters=1)
+    f_out, q_out, turned_out = _polish_capped(1, p[keep], atoms[keep], target, d, 1e-10)
     assert f < f0
     assert q[1] == 0.0 and turned[1].tobytes() == atoms[1].tobytes()
     assert (q >= 0.0).all() and abs(q.sum() - 1.0) <= 1e-15
@@ -854,7 +885,7 @@ def test_a_zero_weight_pushed_outward_is_held_at_its_bound(d):
 
 
 def test_a_zero_weight_whose_step_points_inward_revives():
-    from mufact.factorise import _gn_polish, _grams
+    from mufact.factorise import _grams
 
     # the target is the Gram of atom 1, at weight 0: its weight column is -r,
     # so its step r^T (J J^T + lam)^-1 r is positive
@@ -862,7 +893,7 @@ def test_a_zero_weight_whose_step_points_inward_revives():
     target = _grams(atoms)[1]
     p = np.array([1.0, 0.0])
     f0 = float(np.linalg.norm(_grams(atoms)[0] - target) ** 2)
-    f, q, _ = _gn_polish(p, atoms, target, 2, 1e-10, iters=1)
+    f, q, _ = _polish_capped(1, p, atoms, target, 2, 1e-10)
     assert f < f0
     assert q[1] > 0.0
 
@@ -880,8 +911,8 @@ def test_a_polish_that_ran_to_its_cap_reaches_tol_before_it(monkeypatch):
     monkeypatch.setattr(factorise, "_gn_polish", lambda *a: seen.append(a) or polish(*a))
     membership_solve(target, 1, restarts=1, max_iters=1, tol=tol, seed=5)
     p, atoms = seen[0][0], seen[0][1]
-    capped = polish(p.copy(), atoms.copy(), target, 1, tol, iters=60)
-    short = polish(p.copy(), atoms.copy(), target, 1, tol, iters=59)
+    capped = _polish_capped(60, p.copy(), atoms.copy(), target, 1, tol)
+    short = _polish_capped(59, p.copy(), atoms.copy(), target, 1, tol)
     assert capped[0] <= 0.01 * tol * tol
     # the 60th iteration never ran
     assert capped[0] == short[0]
@@ -1287,6 +1318,39 @@ def test_numpy_integer_counts_are_accepted(solve):
     got, want = (getattr(b, "certificate", b) for b in (got, want))
     assert got.ensemble.tuples.tobytes() == want.ensemble.tuples.tobytes()
     assert got.ensemble.weights.tobytes() == want.ensemble.weights.tobytes()
+
+
+# every entry point that takes a tolerance from its caller, called with value
+TOL_ENTRY_POINTS = {
+    "membership_solve": lambda c, mu, cert, v: membership_solve(c, 1, restarts=1, max_iters=2, tol=v),
+    "dist_upper_bound": lambda c, mu, cert, v: dist_upper_bound(c, 1, restarts=1, max_iters=2, tol=v),
+    "schur_cb_norm": lambda c, mu, cert, v: schur_cb_norm(c, rel_gap=v),
+    "tuples_from_ensemble": lambda c, mu, cert, v: tuples_from_ensemble(mu, c, 1, 2, tol=v),
+    "verify_certificate": lambda c, mu, cert, v: verify_certificate(cert, tol=v),
+    "correction_pipeline": lambda c, mu, cert, v: correction_pipeline(c, mu, v, 1),
+}
+
+
+@pytest.mark.parametrize("value", [-1e-6, np.inf, np.nan], ids=["negative", "inf", "nan"])
+@pytest.mark.parametrize("entry", list(TOL_ENTRY_POINTS))
+def test_a_tolerance_that_is_not_finite_and_at_least_0_is_rejected(entry, value):
+    # tol=inf once returned a miss as a hit, and tol=-1 on an exact ensemble
+    # raised NotBlockDiagonal for an off-diagonal block of size 0
+    from mufact.factorise import _bound
+
+    ens = random_tuple_ensemble(2, 1, 2, rng_from_seed(82))
+    c = ens.gram_average()
+    mu, cert = mu_ensemble_from_tuples(ens), GramCertificate.build(ens, c)
+    _bound.cache_clear()
+    with pytest.raises(MufactError, match=r"^(tol|rel_gap|epsilon) must be finite and at least 0, got ") as err:
+        TOL_ENTRY_POINTS[entry](c, mu, cert, value)
+    assert type(err.value) is MufactError
+    assert _bound.cache_info().currsize == 0  # rejected before the memo
+
+
+def test_a_tolerance_of_0_passes_a_fresh_certificate():
+    ens = random_tuple_ensemble(3, 2, 2, rng_from_seed(83))
+    verify_certificate(GramCertificate.build(ens, ens.gram_average()), tol=0.0)
 
 
 # every count random_tuple_ensemble may get wrong, with the rule it breaks;
