@@ -268,11 +268,18 @@ def _cmd_dilate(args) -> int:
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
+    # options are spelled in full: with argparse's default, --max would parse
+    # as --max-iters, and a new option could change what an old prefix means
     parser = argparse.ArgumentParser(
         prog="mufact",
         description="Mixed-unitary factorisations of lifted Schur multipliers.",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     p = sub.add_parser("gen", help="generate a seeded test instance")
     p.add_argument("kind", choices=["correlation", "tuple", "fkd-convex"])

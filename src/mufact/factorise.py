@@ -460,7 +460,8 @@ def _atom_sweep(p, atoms, grams, resid):
 
 @functools.cache
 def _hermitian_basis(d: int) -> np.ndarray:
-    """Orthogonal real basis of d x d Hermitian matrices, shape (d*d, d, d)."""
+    """Orthogonal real basis of d x d Hermitian matrices, shape (d*d, d, d),
+    read-only."""
     out = np.zeros((d * d, d, d), dtype=complex)
     n = 0
     for a in range(d):
@@ -473,6 +474,7 @@ def _hermitian_basis(d: int) -> np.ndarray:
             out[n, a, b] = 1.0j
             out[n, b, a] = -1.0j
             n += 1
+    out.flags.writeable = False  # every caller shares the cached array
     return out
 
 
@@ -495,10 +497,14 @@ def _gn_polish(p, atoms, target, d: int, tol: float):
     projected, active-set step; Kanzow, Yamashita and Fukushima, J. Comput.
     Appl. Math. 172, 2004): its column of J is zeroed and J J^T factored
     once more, so every damping try keeps it at exactly 0. A zero weight
-    whose step points inward keeps its column and can revive. The polish
-    ends after _GN_ITERS iterations, when no damping try lowers the misfit f,
-    when f <= 0.01 tol^2, or once an accepted step lowers f by at most
-    sqrt(eps) f (MINPACK's default ftol); that step is kept.
+    whose step points inward keeps its column and can revive. The pin test
+    runs only in an iteration that starts with a weight at 0; while every
+    weight is live, every atom turns. At d = 1 the basis is the 1 x 1
+    identity, so the Jacobian's traces tr(U_i* U_j) are the Gram entries the
+    polish already holds. The polish ends after _GN_ITERS iterations, when
+    no damping try lowers the misfit f, when f <= 0.01 tol^2, or once an
+    accepted step lowers f by at most sqrt(eps) f (MINPACK's default
+    ftol); that step is kept.
     """
     m_cnt, k = atoms.shape[0], atoms.shape[1]
     nb = d * d
@@ -517,12 +523,18 @@ def _gn_polish(p, atoms, target, d: int, tol: float):
         r = resid[iu, ju]
         rvec = np.concatenate([r.real, r.imag])
         live = p > 0.0
+        all_live = live.all()
         # d gram_ij / d theta_x at entry i of atom m: -i p_m tr(U_i* B_x U_j)/d;
         # row (i, j) depends on entry i through dg[m, i, :, j] and on entry j
-        # through conj(dg[m, j, :, i])
-        tr = np.einsum("miba,xbc,mjca->mixj", np.conj(atoms), basis, atoms)
+        # through conj(dg[m, j, :, i]). At d = 1, B is the 1 x 1 identity and
+        # the trace is the Gram entry conj(u_i) u_j itself
+        if d == 1:
+            tr = grams[:, :, None, :]
+        else:
+            tr = np.einsum("miba,xbc,mjca->mixj", np.conj(atoms), basis, atoms)
         dg = -1j * p[:, None, None, None] * tr / d
-        dg[~live] = 0.0
+        if not all_live:
+            dg[~live] = 0.0
         rot = np.zeros((len(rows), m_cnt, k, nb), dtype=complex)
         rot[rows, :, iu] = dg[:, iu, :, ju]
         rot[rows, :, ju] = np.conj(dg[:, ju, :, iu])
@@ -535,27 +547,29 @@ def _gn_polish(p, atoms, target, d: int, tol: float):
         gvals = np.maximum(gvals, 0.0)
         ur = gvecs.T @ rvec
         # pin each zero weight that the step at lam would push negative
-        pin = ~live & (jac[:, :m_cnt].T @ (gvecs @ (ur / (gvals + lam))) >= 0.0)
-        if pin.any():
-            jac[:, np.flatnonzero(pin)] = 0.0
-            gvals, gvecs = np.linalg.eigh(jac @ jac.T)
-            gvals = np.maximum(gvals, 0.0)
-            ur = gvecs.T @ rvec
+        if not all_live:
+            pin = ~live & (jac[:, :m_cnt].T @ (gvecs @ (ur / (gvals + lam))) >= 0.0)
+            if pin.any():
+                jac[:, np.flatnonzero(pin)] = 0.0
+                gvals, gvecs = np.linalg.eigh(jac @ jac.T)
+                gvals = np.maximum(gvals, 0.0)
+                ur = gvecs.T @ rvec
         f_in = f
         for _ in range(8):
             step = -jac.T @ (gvecs @ (ur / (gvals + lam)))
-            q = np.clip(p + step[:m_cnt], 0.0, None)
+            q = np.maximum(p + step[:m_cnt], 0.0)
             s = q.sum()
             if s > 0.0:
                 q = q / s
-                h = (step[m_cnt:].reshape(-1, nb) @ basis.reshape(nb, nb)).reshape(m_cnt, k, d, d)
                 if d == 1:
-                    turned = np.exp(1j * h.real) * atoms
+                    new_atoms = np.exp(1j * step[m_cnt:]).reshape(m_cnt, k, 1, 1) * atoms
                 else:
-                    vals, vecs = np.linalg.eigh(h)
+                    h = step[m_cnt:].reshape(-1, nb) @ basis.reshape(nb, nb)
+                    vals, vecs = np.linalg.eigh(h.reshape(m_cnt, k, d, d))
                     expo = vecs * np.exp(1j * vals)[..., None, :]
-                    turned = expo @ np.conj(np.swapaxes(vecs, -1, -2)) @ atoms
-                new_atoms = np.where(live[:, None, None, None], turned, atoms)
+                    new_atoms = expo @ np.conj(np.swapaxes(vecs, -1, -2)) @ atoms
+                if not all_live:
+                    new_atoms = np.where(live[:, None, None, None], new_atoms, atoms)
                 new_grams = _grams(new_atoms)
                 new_ach = np.einsum("m,mij->ij", q, new_grams)
                 new_resid = new_ach - target

@@ -161,6 +161,17 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, prefix", [
+    (["factorise", "--C", "c.json", "--d", "1", "--max", "5", "--out", "x.json"], "--max"),
+    (["norms", "--A", "c.json", "--se", "3"], "--se"),
+], ids=["factorise", "norms"])
+def test_an_option_prefix_is_a_usage_error(capsys, command, prefix):
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {prefix} " in capsys.readouterr().err
+
+
 def test_gen_tuple_then_verify_ensemble(tmp_path):
     t = str(tmp_path / "t.json")
     rc, _, _ = run(["gen", "tuple", "--k", "2", "--d", "2", "--atoms", "2", "--out", t])

@@ -777,15 +777,15 @@ def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60, solve="eigh"):
     return f, p, atoms
 
 
-def _polish_case(d):
-    """A k = 3 target, four atoms and weights with one atom at weight 0."""
+def _polish_case(d, live=False):
+    """A k = 3 target and four atoms, with atom 1 at weight 0 unless live."""
     from mufact.factorise import _grams
 
     rng = rng_from_seed(70 + d)
     k, m_cnt = 3, 4
     target = random_tuple_ensemble(k, d, 2, rng).gram_average()
     atoms = random_haar_unitaries((m_cnt, k), d, rng)
-    p = np.array([0.4, 0.0, 0.35, 0.25])
+    p = np.array([0.4, 0.1, 0.3, 0.2] if live else [0.4, 0.0, 0.35, 0.25])
     f0 = float(np.linalg.norm(np.einsum("m,mij->ij", p, _grams(atoms)) - target) ** 2)
     return target, atoms, p, f0
 
@@ -802,6 +802,60 @@ def test_stacked_polish_matches_the_per_entry_reference_bit_for_bit(d, iters):
     assert np.array_equal(got[2], want[2])
     if iters == 1:
         assert got[2][1].tobytes() == atoms[1].tobytes()
+
+
+def _same_bits(got, want):
+    return all(
+        np.asarray(g).dtype == np.asarray(w).dtype
+        and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        for g, w in zip(got, want, strict=True)
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("iters", [1, 60])
+def test_an_all_live_polish_matches_the_per_entry_reference_bit_for_bit(d, iters):
+    target, atoms, p, f0 = _polish_case(d, live=True)
+    want = _gn_polish_per_entry(p, atoms, target, d, 1e-10, iters=iters)
+    got = _polish_capped(iters, p.copy(), atoms.copy(), target, d, 1e-10)
+    assert want[0] < f0
+    assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("iters", [1, 60])
+def test_a_zero_weight_atom_keeps_its_signed_zeros(d, iters):
+    # atom 1, at weight 0, is -iI with every zero a -0.0: a rotation by
+    # exp(i 0) = I would keep its value but turn some -0.0 into +0.0
+    target, atoms, p, _ = _polish_case(d)
+    atoms[1].real = -0.0
+    atoms[1].imag = -np.eye(d)
+    want = _gn_polish_per_entry(p, atoms, target, d, 1e-10, iters=iters)
+    got = _polish_capped(iters, p.copy(), atoms.copy(), target, d, 1e-10)
+    assert _same_bits(got, want)
+    if iters == 1:
+        assert got[2][1].tobytes() == atoms[1].tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_an_all_live_iteration_factors_the_row_gram_once_and_a_pinned_one_twice(
+    monkeypatch, d
+):
+    eigh, shapes = np.linalg.eigh, []
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) == 2:  # J J^T; the tries' rotations are (m, k, d, d) stacks
+            shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for live, factorisations in ((True, 1), (False, 2)):
+        target, atoms, p, f0 = _polish_case(d, live=live)
+        shapes.clear()
+        f, _, _ = _polish_capped(1, p, atoms, target, d, 1e-10)
+        assert f < f0
+        # k(k-1) = 6 rows; at weight 0, atom 1 is pinned and J J^T factored again
+        assert shapes == [(6, 6)] * factorisations
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -898,19 +952,34 @@ def test_a_zero_weight_whose_step_points_inward_revives():
     assert q[1] > 0.0
 
 
-def test_a_polish_that_ran_to_its_cap_reaches_tol_before_it(monkeypatch):
+def _acceptance_8_seed_5_start(monkeypatch):
+    """Acceptance 8's draw at seed 5: the input of the escape polish of
+    restart 0's first iteration, which ran all 60 iterations to 2.1e-3
+    while weights died and revived under the clip."""
     import mufact.factorise as factorise
 
-    # acceptance 8's draw at seed 5: the escape polish of restart 0's first
-    # iteration ran all 60 iterations to 2.1e-3 while weights died and
-    # revived under the clip
     tol = 1e-5
     target = random_tuple_ensemble(4, 1, 3, rng_from_seed(1005)).gram_average()
     seen = []
     polish = factorise._gn_polish
     monkeypatch.setattr(factorise, "_gn_polish", lambda *a: seen.append(a) or polish(*a))
     membership_solve(target, 1, restarts=1, max_iters=1, tol=tol, seed=5)
-    p, atoms = seen[0][0], seen[0][1]
+    return seen[0][0], seen[0][1], target, tol
+
+
+def test_a_polish_whose_weights_die_and_revive_matches_the_reference_bit_for_bit(
+    monkeypatch,
+):
+    p, atoms, target, tol = _acceptance_8_seed_5_start(monkeypatch)
+    assert (p > 0.0).all()  # merged atoms: every weight starts live
+    want = _gn_polish_per_entry(p, atoms, target, 1, tol, iters=60)
+    got = _polish_capped(60, p.copy(), atoms.copy(), target, 1, tol)
+    assert want[0] <= 0.01 * tol * tol
+    assert _same_bits(got, want)
+
+
+def test_a_polish_that_ran_to_its_cap_reaches_tol_before_it(monkeypatch):
+    p, atoms, target, tol = _acceptance_8_seed_5_start(monkeypatch)
     capped = _polish_capped(60, p.copy(), atoms.copy(), target, 1, tol)
     short = _polish_capped(59, p.copy(), atoms.copy(), target, 1, tol)
     assert capped[0] <= 0.01 * tol * tol
@@ -988,6 +1057,16 @@ def test_atom_sweep_matches_the_reference_bit_for_bit(d):
     assert not np.array_equal(want[0], atoms)
     # at d = 1 the candidate is the exact minimiser of its entry's misfit
     assert (rejected > 0) == (d > 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_cached_hermitian_basis_is_read_only(d):
+    from mufact.factorise import _hermitian_basis
+
+    basis = _hermitian_basis(d)
+    with pytest.raises(ValueError):
+        basis[0, 0, 0] = 2.0
+    assert _hermitian_basis(d) is basis and basis[0, 0, 0] == 1.0
 
 
 @pytest.mark.parametrize("bad", ["zero", "inf", "nan"])
