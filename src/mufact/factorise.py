@@ -478,6 +478,65 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _jacobian_map(m_cnt: int, k: int, d: int) -> np.ndarray:
+    """Float indices that gather [J | r] for _gn_polish, read-only.
+
+    They index the float view of the complex source that _gn_system fills:
+    [grams - achieved | resid | dg | conj(dg) | 0], each block C-ordered,
+    with grams (m_cnt, k, k) and dg (m_cnt, k, d*d, k). Rows (i, j), i < j,
+    take real parts in the first half and imaginary parts in the second.
+    Column m is (grams - achieved)[m, i, j]. Column (m, e, x) is
+    dg[m, i, x, j] if e = i, conj(dg[m, j, x, i]) if e = j, and the trailing
+    0 otherwise. The last column is resid[i, j]. The cache keeps one map,
+    the size of [J | r], per shape polished.
+    """
+    nb = d * d
+    iu, ju = np.triu_indices(k, 1)
+    rows = np.arange(len(iu))
+    m = np.arange(m_cnt)[:, None]
+    x = np.arange(nb)
+    n_w, n_dg = (m_cnt + 1) * k * k, m_cnt * k * nb * k
+    rot = np.full((len(iu), m_cnt, k, nb), n_w + 2 * n_dg)
+    rot[rows, :, iu] = n_w + ((m * k + iu[:, None, None]) * nb + x) * k + ju[:, None, None]
+    rot[rows, :, ju] = n_w + n_dg + ((m * k + ju[:, None, None]) * nb + x) * k + iu[:, None, None]
+    pair = (iu * k + ju)[:, None]
+    cols = np.concatenate(
+        [m.T * k * k + pair, rot.reshape(len(iu), m_cnt * k * nb), m_cnt * k * k + pair], axis=1
+    )
+    out = np.concatenate([2 * cols, 2 * cols + 1])
+    out.flags.writeable = False  # every caller shares the cached array
+    return out
+
+
+def _gn_system(p, atoms, grams, achieved, resid, d: int):
+    """The Jacobian J and residual vector r of one _gn_polish iteration.
+
+    d gram_ij / d theta_x at entry i of atom m is dg[m, i, x, j] =
+    -i p_m tr(U_i* B_x U_j)/d; row (i, j) depends on entry i through
+    dg[m, i, :, j] and on entry j through conj(dg[m, j, :, i]). At d = 1, B
+    is the 1 x 1 identity and the trace is the Gram entry conj(u_i) u_j
+    itself. Columns are the weights of all atoms, then the rotations
+    (m, i, x); rows are the real, then the imaginary parts of the entries
+    above the diagonal. Both come from one gather through _jacobian_map.
+    """
+    m_cnt, k = atoms.shape[0], atoms.shape[1]
+    n_w = (m_cnt + 1) * k * k
+    src = np.zeros(n_w + 2 * m_cnt * k * d * d * k + 1, dtype=complex)
+    w = src[:n_w].reshape(m_cnt + 1, k, k)
+    np.subtract(grams, achieved, out=w[:m_cnt])
+    w[m_cnt] = resid
+    if d == 1:
+        tr = grams[:, :, None, :]
+    else:
+        tr = np.einsum("miba,xbc,mjca->mixj", np.conj(atoms), _hermitian_basis(d), atoms)
+    dg = src[n_w:-1].reshape(2, m_cnt, k, d * d, k)
+    np.divide(-1j * p[:, None, None, None] * tr, d, out=dg[0])
+    np.conjugate(dg[0], out=dg[1])
+    jr = src.view(float)[_jacobian_map(m_cnt, k, d)]
+    return jr[:, :-1], jr[:, -1]
+
+
 def _gn_polish(p, atoms, target, d: int, tol: float):
     """Damped Gauss-Newton refinement around an alternating-descent iterate.
 
@@ -488,29 +547,26 @@ def _gn_polish(p, atoms, target, d: int, tol: float):
     configuration this converges quadratically where the coordinate scheme
     crawls along the flat directions of the Gram parametrisation.
 
-    Each iteration takes one eigendecomposition J J^T = U diag(l) U^T of the
-    k(k-1)-square row Gram of the Jacobian J, and every damping try steps by
-    s = -J^T U diag(1 / (l + lam)) U^T r, the minimiser of
-    |J s + r|^2 + lam |s|^2; l is clamped at 0, so no denominator falls
-    below lam. A zero weight that the step at the iteration's first lam
-    would push negative is held at its bound for that iteration (a
-    projected, active-set step; Kanzow, Yamashita and Fukushima, J. Comput.
-    Appl. Math. 172, 2004): its column of J is zeroed and J J^T factored
-    once more, so every damping try keeps it at exactly 0. A zero weight
-    whose step points inward keeps its column and can revive. The pin test
-    runs only in an iteration that starts with a weight at 0; while every
-    weight is live, every atom turns. At d = 1 the basis is the 1 x 1
-    identity, so the Jacobian's traces tr(U_i* U_j) are the Gram entries the
-    polish already holds. The polish ends after _GN_ITERS iterations, when
-    no damping try lowers the misfit f, when f <= 0.01 tol^2, or once an
-    accepted step lowers f by at most sqrt(eps) f (MINPACK's default
+    Each damping try solves (J J^T + lam I) v = r, with J J^T the
+    k(k-1)-square row Gram of the Jacobian J, by one LU factorisation, and
+    steps by s = -J^T v, the minimiser of |J s + r|^2 + lam |s|^2; -J^T is
+    formed once per iteration. A zero weight that the step at the
+    iteration's first lam would push negative is held at its bound for that
+    iteration (a projected, active-set step; Kanzow, Yamashita and
+    Fukushima, J. Comput. Appl. Math. 172, 2004): its column of J is zeroed
+    and J J^T formed again, so every damping try keeps it at exactly 0. A
+    zero weight whose step points inward keeps its column and can revive.
+    The pin test runs only in an iteration that starts with a weight at 0;
+    when it pins nothing, its solve is the first try's. While every weight
+    is live, every atom turns. The polish ends after _GN_ITERS iterations,
+    when no damping try lowers the misfit f, when f <= 0.01 tol^2, or once
+    an accepted step lowers f by at most sqrt(eps) f (MINPACK's default
     ftol); that step is kept.
     """
     m_cnt, k = atoms.shape[0], atoms.shape[1]
     nb = d * d
     basis = _hermitian_basis(d)
-    iu, ju = np.triu_indices(k, 1)
-    rows = np.arange(len(iu))
+    eye = np.eye(k * (k - 1))
 
     grams = _grams(atoms)
     achieved = np.einsum("m,mij->ij", p, grams)
@@ -520,43 +576,24 @@ def _gn_polish(p, atoms, target, d: int, tol: float):
     for _ in range(_GN_ITERS):
         if f <= 0.01 * tol * tol:
             break
-        r = resid[iu, ju]
-        rvec = np.concatenate([r.real, r.imag])
         live = p > 0.0
         all_live = live.all()
-        # d gram_ij / d theta_x at entry i of atom m: -i p_m tr(U_i* B_x U_j)/d;
-        # row (i, j) depends on entry i through dg[m, i, :, j] and on entry j
-        # through conj(dg[m, j, :, i]). At d = 1, B is the 1 x 1 identity and
-        # the trace is the Gram entry conj(u_i) u_j itself
-        if d == 1:
-            tr = grams[:, :, None, :]
-        else:
-            tr = np.einsum("miba,xbc,mjca->mixj", np.conj(atoms), basis, atoms)
-        dg = -1j * p[:, None, None, None] * tr / d
-        if not all_live:
-            dg[~live] = 0.0
-        rot = np.zeros((len(rows), m_cnt, k, nb), dtype=complex)
-        rot[rows, :, iu] = dg[:, iu, :, ju]
-        rot[rows, :, ju] = np.conj(dg[:, ju, :, iu])
-        # weight columns for all atoms first, then rotation columns (m, i, x)
-        cols = np.concatenate(
-            [(grams - achieved)[:, iu, ju].T, rot.reshape(len(rows), m_cnt * k * nb)], axis=1
-        )
-        jac = np.concatenate([cols.real, cols.imag])
-        gvals, gvecs = np.linalg.eigh(jac @ jac.T)
-        gvals = np.maximum(gvals, 0.0)
-        ur = gvecs.T @ rvec
+        jac, rvec = _gn_system(p, atoms, grams, achieved, resid, d)
+        gram = jac @ jac.T
+        v = np.linalg.solve(gram + lam * eye, rvec)
         # pin each zero weight that the step at lam would push negative
         if not all_live:
-            pin = ~live & (jac[:, :m_cnt].T @ (gvecs @ (ur / (gvals + lam))) >= 0.0)
+            pin = ~live & (jac[:, :m_cnt].T @ v >= 0.0)
             if pin.any():
                 jac[:, np.flatnonzero(pin)] = 0.0
-                gvals, gvecs = np.linalg.eigh(jac @ jac.T)
-                gvals = np.maximum(gvals, 0.0)
-                ur = gvecs.T @ rvec
+                gram = jac @ jac.T
+                v = np.linalg.solve(gram + lam * eye, rvec)
+        neg_jt = -jac.T
         f_in = f
-        for _ in range(8):
-            step = -jac.T @ (gvecs @ (ur / (gvals + lam)))
+        for n_try in range(8):
+            if n_try:
+                v = np.linalg.solve(gram + lam * eye, rvec)
+            step = neg_jt @ v
             q = np.maximum(p + step[:m_cnt], 0.0)
             s = q.sum()
             if s > 0.0:

@@ -669,18 +669,19 @@ def _polish_capped(iters, *args):
         return fz._gn_polish(*args)
 
 
-def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60, solve="eigh"):
+def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60, solve="lu"):
     """Reference Gauss-Newton polish, one (atom, tuple entry) pair at a time.
 
-    solve="eigh" takes each damped step from one eigendecomposition of the
-    row Gram J J^T, as `_gn_polish` does; solve="svd" from one thin SVD of
-    the Jacobian, s = -V diag(S / (S^2 + lam)) U^T r, the step the row Gram
-    replaced; solve="lstsq" re-solves the stacked system [J; sqrt(lam) I]
-    for every damping try. Each iteration first takes the step at the
-    current lam; every zero weight whose component of it is <= 0 loses its
-    column, and the Jacobian is factored again. The polish ends once an
-    accepted step lowers the misfit by at most sqrt(eps) of it, or when no
-    damping try lowers it.
+    solve="lu" takes each damped step s = -J^T (J J^T + lam I)^-1 r from one
+    `np.linalg.solve` per damping try, as `_gn_polish` does; solve="eigh"
+    from one eigendecomposition of the row Gram J J^T per iteration, the
+    step the solve replaced; solve="svd" from one thin SVD of the Jacobian,
+    s = -V diag(S / (S^2 + lam)) U^T r; solve="lstsq" re-solves the stacked
+    system [J; sqrt(lam) I] for every damping try. Each iteration first
+    takes the step at the current lam; every zero weight whose component of
+    it is <= 0 loses its column, and the step is formed again from the
+    reduced Jacobian. The polish ends once an accepted step lowers the
+    misfit by at most sqrt(eps) of it, or when no damping try lowers it.
     """
     from mufact.factorise import _grams, _hermitian_basis
 
@@ -716,7 +717,10 @@ def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60, solve="eigh"):
         jac = np.concatenate([cols.real, cols.imag])
 
         def factor(jac):
-            """The damped step as a function of lam, from one factorisation."""
+            """The damped step as a function of lam."""
+            if solve == "lu":
+                gram, eye, neg_jt = jac @ jac.T, np.eye(len(rvec)), -jac.T
+                return lambda lam: neg_jt @ np.linalg.solve(gram + lam * eye, rvec)
             if solve == "eigh":
                 gvals, gvecs = np.linalg.eigh(jac @ jac.T)
                 gvals = np.maximum(gvals, 0.0)
@@ -838,24 +842,41 @@ def test_a_zero_weight_atom_keeps_its_signed_zeros(d, iters):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_an_all_live_iteration_factors_the_row_gram_once_and_a_pinned_one_twice(
-    monkeypatch, d
-):
-    eigh, shapes = np.linalg.eigh, []
+def test_each_damping_try_solves_the_row_gram_once_and_a_pin_once_more(monkeypatch, d):
+    import mufact.factorise as fz
 
-    def counted(a, *args, **kwargs):
-        if np.ndim(a) == 2:  # J J^T; the tries' rotations are (m, k, d, d) stacks
-            shapes.append(np.shape(a))
+    solve, eigh, grams = np.linalg.solve, np.linalg.eigh, fz._grams
+    solves, eigh_ndims, gram_calls = [], [], [0]
+
+    def counted_solve(a, b):
+        solves.append(np.shape(a))
+        return solve(a, b)
+
+    def counted_eigh(a, *args, **kwargs):
+        eigh_ndims.append(np.ndim(a))
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    for live, factorisations in ((True, 1), (False, 2)):
+    def counted_grams(stack):
+        gram_calls[0] += 1
+        return grams(stack)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(fz, "_grams", counted_grams)
+    for live, extra in ((True, 0), (False, 1)):
         target, atoms, p, f0 = _polish_case(d, live=live)
-        shapes.clear()
+        solves.clear()
+        eigh_ndims.clear()
+        gram_calls[0] = 0
         f, _, _ = _polish_capped(1, p, atoms, target, d, 1e-10)
         assert f < f0
-        # k(k-1) = 6 rows; at weight 0, atom 1 is pinned and J J^T factored again
-        assert shapes == [(6, 6)] * factorisations
+        tries = gram_calls[0] - 1  # one Gram stack at the start, then one per try
+        assert tries >= 1
+        # k(k-1) = 6 rows; at weight 0, atom 1 is pinned and the system solved once more
+        assert solves == [(6, 6)] * (tries + extra)
+        # the row Gram is never diagonalised; at d >= 2 the tries' rotations are
+        # (m, k, d, d) stacks
+        assert 2 not in eigh_ndims
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -878,6 +899,99 @@ def test_row_gram_step_matches_the_svd_step(d):
     assert abs(got[0] - want[0]) <= 1e-12 * want[0]
     assert np.abs(got[1] - want[1]).max() <= 1e-12 * np.abs(want[1]).max()
     assert np.abs(got[2] - want[2]).max() <= 1e-12 * np.abs(want[2]).max()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("live", [True, False], ids=["all-live", "pinned"])
+def test_solved_step_matches_the_eigh_step(d, live):
+    target, atoms, p, f0 = _polish_case(d, live=live)
+    want = _gn_polish_per_entry(p, atoms, target, d, 1e-10, iters=1, solve="eigh")
+    got = _polish_capped(1, p.copy(), atoms.copy(), target, d, 1e-10)
+    assert want[0] < f0
+    assert abs(got[0] - want[0]) <= 1e-12 * want[0]
+    assert np.abs(got[1] - want[1]).max() <= 1e-12 * np.abs(want[1]).max()
+    assert np.abs(got[2] - want[2]).max() <= 1e-12 * np.abs(want[2]).max()
+
+
+def _gn_system_scattered(p, atoms, grams, achieved, resid, d):
+    """J and r built as `_gn_polish` built them before the gather: rotation
+    columns scattered into a zeroed array, then two concatenations."""
+    from mufact.factorise import _hermitian_basis
+
+    m_cnt, k = atoms.shape[0], atoms.shape[1]
+    iu, ju = np.triu_indices(k, 1)
+    rows = np.arange(len(iu))
+    r = resid[iu, ju]
+    if d == 1:
+        tr = grams[:, :, None, :]
+    else:
+        tr = np.einsum("miba,xbc,mjca->mixj", np.conj(atoms), _hermitian_basis(d), atoms)
+    dg = -1j * p[:, None, None, None] * tr / d
+    rot = np.zeros((len(rows), m_cnt, k, d * d), dtype=complex)
+    rot[rows, :, iu] = dg[:, iu, :, ju]
+    rot[rows, :, ju] = np.conj(dg[:, ju, :, iu])
+    cols = np.concatenate(
+        [(grams - achieved)[:, iu, ju].T, rot.reshape(len(rows), m_cnt * k * d * d)], axis=1
+    )
+    return np.concatenate([cols.real, cols.imag]), np.concatenate([r.real, r.imag])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_gathered_jacobian_matches_the_scattered_one_bit_for_bit(d):
+    from mufact.factorise import _grams, _gn_system
+
+    rng = rng_from_seed(80 + d)
+    zero_weights = 0
+    for m_cnt in range(1, 7):
+        for k in range(2, 6):
+            atoms = random_haar_unitaries((m_cnt, k), d, rng)
+            p = rng.random(m_cnt)
+            p[rng.random(m_cnt) < 0.3] = 0.0
+            zero_weights += int((p == 0.0).sum())
+            target = random_tuple_ensemble(k, d, 2, rng).gram_average()
+            grams = _grams(atoms)
+            achieved = np.einsum("m,mij->ij", p, grams)
+            args = (p, atoms, grams, achieved, achieved - target, d)
+            got, want = _gn_system(*args), _gn_system_scattered(*args)
+            assert _same_bits(got, want)
+            assert got[0].shape == (k * (k - 1), m_cnt * (1 + k * d * d))
+    assert zero_weights > 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_cached_jacobian_map_is_read_only(d):
+    from mufact.factorise import _jacobian_map
+
+    idx = _jacobian_map(4, 3, d)
+    with pytest.raises(ValueError):
+        idx[0, 0] = 1
+    assert _jacobian_map(4, 3, d) is idx and idx[0, 0] == 2 * 1  # real part of grams[0, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "c, residual, bound, shape",
+    [
+        (np.zeros((0, 0)), 0.0, 0.0, (1, 0, 1, 1)),
+        ([[1.0]], 0.0, 0.0, (2, 1, 1, 1)),
+        ([[2.0]], 0.9999999999999998, 0.9999999999999996, (1, 1, 1, 1)),
+    ],
+    ids=["k0", "k1-in", "k1-out"],
+)
+def test_a_target_with_no_pair_runs_the_polish_on_an_empty_system(
+    monkeypatch, c, residual, bound, shape
+):
+    solve, shapes = np.linalg.solve, set()
+
+    def counted(a, b):
+        shapes.add(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    cert = membership_solve(c, 1, restarts=2, max_iters=5)
+    assert cert.residual_fro == residual and cert.ensemble.tuples.shape == shape
+    assert dist_upper_bound(c, 2, restarts=2, max_iters=5).value == bound
+    # only [[2]] is off target at the start, so only its polish iterates: on 0 x 0
+    assert shapes == ({(0, 0)} if residual else set())
 
 
 def _extreme_target(rng):
