@@ -478,9 +478,8 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return out
 
 
-@functools.cache
 def _jacobian_map(m_cnt: int, k: int, d: int) -> np.ndarray:
-    """Float indices that gather [J | r] for _gn_polish, read-only.
+    """Float indices that gather [J | r] for _gn_polish.
 
     They index the float view of the complex source that _gn_system fills:
     [grams - achieved | resid | dg | conj(dg) | 0], each block C-ordered,
@@ -488,8 +487,8 @@ def _jacobian_map(m_cnt: int, k: int, d: int) -> np.ndarray:
     take real parts in the first half and imaginary parts in the second.
     Column m is (grams - achieved)[m, i, j]. Column (m, e, x) is
     dg[m, i, x, j] if e = i, conj(dg[m, j, x, i]) if e = j, and the trailing
-    0 otherwise. The last column is resid[i, j]. The cache keeps one map,
-    the size of [J | r], per shape polished.
+    0 otherwise. The last column is resid[i, j]. m_cnt, k and d are fixed
+    within one polish, which builds the map once and drops it on return.
     """
     nb = d * d
     iu, ju = np.triu_indices(k, 1)
@@ -504,12 +503,10 @@ def _jacobian_map(m_cnt: int, k: int, d: int) -> np.ndarray:
     cols = np.concatenate(
         [m.T * k * k + pair, rot.reshape(len(iu), m_cnt * k * nb), m_cnt * k * k + pair], axis=1
     )
-    out = np.concatenate([2 * cols, 2 * cols + 1])
-    out.flags.writeable = False  # every caller shares the cached array
-    return out
+    return np.concatenate([2 * cols, 2 * cols + 1])
 
 
-def _gn_system(p, atoms, grams, achieved, resid, d: int):
+def _gn_system(p, atoms, grams, achieved, resid, d: int, idx):
     """The Jacobian J and residual vector r of one _gn_polish iteration.
 
     d gram_ij / d theta_x at entry i of atom m is dg[m, i, x, j] =
@@ -518,7 +515,8 @@ def _gn_system(p, atoms, grams, achieved, resid, d: int):
     is the 1 x 1 identity and the trace is the Gram entry conj(u_i) u_j
     itself. Columns are the weights of all atoms, then the rotations
     (m, i, x); rows are the real, then the imaginary parts of the entries
-    above the diagonal. Both come from one gather through _jacobian_map.
+    above the diagonal. Both come from one gather through idx, the
+    _jacobian_map of this shape.
     """
     m_cnt, k = atoms.shape[0], atoms.shape[1]
     n_w = (m_cnt + 1) * k * k
@@ -533,7 +531,7 @@ def _gn_system(p, atoms, grams, achieved, resid, d: int):
     dg = src[n_w:-1].reshape(2, m_cnt, k, d * d, k)
     np.divide(-1j * p[:, None, None, None] * tr, d, out=dg[0])
     np.conjugate(dg[0], out=dg[1])
-    jr = src.view(float)[_jacobian_map(m_cnt, k, d)]
+    jr = src.view(float)[idx]
     return jr[:, :-1], jr[:, -1]
 
 
@@ -567,6 +565,7 @@ def _gn_polish(p, atoms, target, d: int, tol: float):
     nb = d * d
     basis = _hermitian_basis(d)
     eye = np.eye(k * (k - 1))
+    idx = _jacobian_map(m_cnt, k, d)
 
     grams = _grams(atoms)
     achieved = np.einsum("m,mij->ij", p, grams)
@@ -578,7 +577,7 @@ def _gn_polish(p, atoms, target, d: int, tol: float):
             break
         live = p > 0.0
         all_live = live.all()
-        jac, rvec = _gn_system(p, atoms, grams, achieved, resid, d)
+        jac, rvec = _gn_system(p, atoms, grams, achieved, resid, d, idx)
         gram = jac @ jac.T
         v = np.linalg.solve(gram + lam * eye, rvec)
         # pin each zero weight that the step at lam would push negative
