@@ -491,7 +491,9 @@ def _jacobian_map(m_cnt: int, k: int, d: int) -> np.ndarray:
     within one polish, which builds the map once and drops it on return.
     """
     nb = d * d
-    iu, ju = np.triu_indices(k, 1)
+    # the pairs i < j in row-major order, as np.triu_indices(k, 1), in a
+    # seventh of its time
+    iu, ju = np.nonzero(np.arange(k)[:, None] < np.arange(k))
     rows = np.arange(len(iu))
     m = np.arange(m_cnt)[:, None]
     x = np.arange(nb)
@@ -506,19 +508,29 @@ def _jacobian_map(m_cnt: int, k: int, d: int) -> np.ndarray:
     return np.concatenate([2 * cols, 2 * cols + 1])
 
 
-def _gn_system(p, atoms, grams, achieved, resid, d: int, idx):
+def _pair_products(atoms) -> np.ndarray:
+    """U_j U_i* for each pair of entries of each atom, at row (m, i, j) of a
+    (M k k, d^2) array."""
+    m_cnt, k, d = atoms.shape[0], atoms.shape[1], atoms.shape[2]
+    flat = atoms.reshape(m_cnt, k * d, d)
+    uu = (flat @ np.conj(flat.swapaxes(1, 2))).reshape(m_cnt, k, d, k, d)
+    return uu.transpose(0, 3, 1, 2, 4).reshape(-1, d * d)
+
+
+def _gn_system(p, grams, achieved, resid, pairs, d: int, idx):
     """The Jacobian J and residual vector r of one _gn_polish iteration.
 
     d gram_ij / d theta_x at entry i of atom m is dg[m, i, x, j] =
-    -i p_m tr(U_i* B_x U_j)/d; row (i, j) depends on entry i through
+    -i p_m tr(U_i* B_x U_j)/d, the trace read off the _pair_products as
+    sum_bc B_x[b, c] (U_j U_i*)[c, b]; row (i, j) depends on entry i through
     dg[m, i, :, j] and on entry j through conj(dg[m, j, :, i]). At d = 1, B
     is the 1 x 1 identity and the trace is the Gram entry conj(u_i) u_j
-    itself. Columns are the weights of all atoms, then the rotations
-    (m, i, x); rows are the real, then the imaginary parts of the entries
-    above the diagonal. Both come from one gather through idx, the
-    _jacobian_map of this shape.
+    itself, so pairs is not read. Columns are the weights of all atoms,
+    then the rotations (m, i, x); rows are the real, then the imaginary
+    parts of the entries above the diagonal. Both come from one gather
+    through idx, the _jacobian_map of this shape.
     """
-    m_cnt, k = atoms.shape[0], atoms.shape[1]
+    m_cnt, k = grams.shape[0], grams.shape[1]
     n_w = (m_cnt + 1) * k * k
     src = np.zeros(n_w + 2 * m_cnt * k * d * d * k + 1, dtype=complex)
     w = src[:n_w].reshape(m_cnt + 1, k, k)
@@ -527,12 +539,123 @@ def _gn_system(p, atoms, grams, achieved, resid, d: int, idx):
     if d == 1:
         tr = grams[:, :, None, :]
     else:
-        tr = np.einsum("miba,xbc,mjca->mixj", np.conj(atoms), _hermitian_basis(d), atoms)
+        cols = _hermitian_basis(d).transpose(2, 1, 0).reshape(d * d, -1)
+        tr = (pairs @ cols).reshape(m_cnt, k, k, -1).transpose(0, 1, 3, 2)
     dg = src[n_w:-1].reshape(2, m_cnt, k, d * d, k)
     np.divide(-1j * p[:, None, None, None] * tr, d, out=dg[0])
     np.conjugate(dg[0], out=dg[1])
     jr = src.view(float)[idx]
     return jr[:, :-1], jr[:, -1]
+
+
+@functools.cache
+def _basis_pairs(d: int) -> np.ndarray:
+    """P with K.view(float) @ P = Re tr(B_x B_y K) at column (x, y), for a
+    flattened d x d K and the _hermitian_basis B; read-only."""
+    basis = _hermitian_basis(d)
+    pair = np.einsum("xab,ybc->caxy", basis, basis).reshape(d * d, -1)
+    out = np.stack([pair.real, -pair.imag], axis=1).reshape(2 * d * d, -1)
+    out.flags.writeable = False  # every caller shares the cached array
+    return out
+
+
+def _hessian_blocks(p, pairs, resid, jac, rvec, d: int) -> np.ndarray:
+    """Per-atom blocks of S = sum_a r_a grad^2 r_a, the Hessian term that
+    Gauss-Newton drops, at 0, for the misfit the damping tries evaluate:
+    f(exp(iH) U, (p + delta) / sum(p + delta)), atoms of weight 0 held still.
+
+    Block m holds atom m's weight shift, then its rotations (i, x) as in J.
+    With rc = conj(r) off the diagonal (r is Hermitian for a Hermitian
+    target) and K_ij = rc_ij U_j U_i* (pairs: _pair_products, or the Grams
+    at d = 1), entries i != j couple through p_m Re tr(B_x B_y K_ij) / d, and
+    entry i with itself through -p_m Re tr({B_x, B_y}/2 sum_j K_ij) / d. The
+    renormalisation couples weight m to its rotations through (J^T r) / p_m
+    (0 at weight 0), and adds the rank-2 term -(e g^T + g e^T) outside the
+    blocks, with g = J^T r and e the weights' indicator.
+    """
+    m_cnt, k = len(p), len(resid)
+    nb = d * d
+    rc = np.conj(resid)
+    rc.flat[:: k + 1] = 0.0
+    kk = (pairs.reshape(m_cnt, k, k, nb) * rc[:, :, None]).reshape(-1, nb)
+    rot = (kk.view(float) @ _basis_pairs(d)).reshape(m_cnt, k, k, nb, nb)
+    within = rot.sum(axis=2)
+    diag = np.arange(k)
+    rot[:, diag, diag] = -0.5 * (within + within.swapaxes(-1, -2))
+    out = np.zeros((m_cnt, 1 + k * nb, 1 + k * nb))
+    np.multiply(
+        rot.transpose(0, 1, 3, 2, 4),
+        (p / d)[:, None, None, None, None],
+        out=out[:, 1:, 1:].reshape(m_cnt, k, nb, k, nb),
+    )
+    grad = (jac[:, m_cnt:].T @ rvec).reshape(m_cnt, -1)
+    out[:, 0, 1:] = out[:, 1:, 0] = np.divide(
+        grad, p[:, None], out=np.zeros_like(grad), where=p[:, None] > 0.0
+    )
+    return out
+
+
+def _newton_step(jac, rvec, hess):
+    """The step on J^T J + S as a function of the damping lam.
+
+    s solves (J^T J + S + lam I) s = -J^T r, with S = Hb - e g^T - g e^T
+    for the blocks Hb of _hessian_blocks and e the weights whose column of
+    J is not zeroed by a pin. With V = [J^T | e] and C = [[I, -r],
+    [-r^T, 0]] that is (Hb + lam I + V C V^T) s = -V (r, 0), so by the
+    push-through form of Woodbury's identity
+    s = -(Hb + lam I)^-1 V (I + C V^T (Hb + lam I)^-1 V)^-1 (r, 0): one
+    solve of the per-atom blocks, then one of side k(k-1) + 1. No array of
+    side M(1 + k d^2) is formed.
+    """
+    m_cnt, side, rows = hess.shape[0], hess.shape[1], len(rvec)
+    cnt = rows + 1
+    # V laid out by atom as the blocks: weight m, then its rotations
+    vcols = np.zeros((m_cnt, side, cnt))
+    vcols[:, 0, :rows] = jac[:, :m_cnt].T
+    vcols[:, 0, rows] = jac[:, :m_cnt].any(axis=0)
+    vcols[:, 1:, :rows] = jac[:, m_cnt:].T.reshape(m_cnt, side - 1, rows)
+    flat = vcols.reshape(-1, cnt)
+    cmat = np.eye(cnt)
+    cmat[:rows, rows] = cmat[rows, :rows] = -rvec
+    cmat[rows, rows] = 0.0
+    c_vt = cmat @ flat.T
+    eye_b, eye_c, neg_rt = np.eye(side), np.eye(cnt), np.append(-rvec, 0.0)
+
+    def step_at(lam):
+        x = np.linalg.solve(hess + lam * eye_b, vcols).reshape(-1, cnt)
+        s = (x @ np.linalg.solve(eye_c + c_vt @ x, neg_rt)).reshape(m_cnt, side)
+        return np.concatenate([s[:, 0], s[:, 1:].ravel()])
+
+    return step_at
+
+
+def _prefers_newton(p, pairs, resid, jac, rvec, hess, taken, drop, d: int) -> bool:
+    """Whether the next iteration of _gn_polish steps on J^T J + S.
+
+    drop is the actual decrease of |r|^2 by the accepted step s (taken).
+    Gauss-Newton predicted -2 r.Js - |Js|^2, missing by miss, and J^T J + S
+    predicted s^T S s less, missing by miss + s^T S s. After a step on
+    J^T J + S (hess its blocks), the nearer prediction wins, a tie going to
+    Gauss-Newton: NL2SOL's test. After a Gauss-Newton step (hess None),
+    J^T J + S must also show a large residual at work: both the miss and
+    s^T S s must exceed |Js|^2. The miss is tested first, so S is built
+    only when the test can pass.
+    """
+    m_cnt = len(p)
+    js = jac @ taken
+    r_js, quad = rvec @ js, js @ js
+    miss = drop + 2.0 * r_js + quad
+    after_gauss_newton = hess is None
+    if after_gauss_newton:
+        if not abs(miss) > quad:
+            return False
+        hess = _hessian_blocks(p, pairs, resid, jac, rvec, d)
+    # s^T S s: the blocks, less the rank-2 term 2 (e.s)(g.s) with g.s = r.Js
+    blocks = np.concatenate([taken[:m_cnt, None], taken[m_cnt:].reshape(m_cnt, -1)], axis=1)
+    curv = np.vdot(blocks, hess @ blocks[..., None]) - 2.0 * taken[:m_cnt].sum() * r_js
+    if after_gauss_newton and not abs(curv) > quad:
+        return False
+    return abs(miss + curv) < abs(miss)
 
 
 def _gn_polish(p, atoms, target, d: int, tol: float):
@@ -545,16 +668,28 @@ def _gn_polish(p, atoms, target, d: int, tol: float):
     configuration this converges quadratically where the coordinate scheme
     crawls along the flat directions of the Gram parametrisation.
 
-    Each damping try solves (J J^T + lam I) v = r, with J J^T the
+    Each iteration steps on one of two models of the misfit (Dennis, Gay
+    and Welsch, NL2SOL, ACM TOMS 7, 1981; Nocedal and Wright, Numerical
+    Optimization, 2nd ed., section 10.3). Gauss-Newton takes J^T J for the
+    Hessian: each damping try solves (J J^T + lam I) v = r, with J J^T the
     k(k-1)-square row Gram of the Jacobian J, by one LU factorisation, and
-    steps by s = -J^T v, the minimiser of |J s + r|^2 + lam |s|^2; -J^T is
-    formed once per iteration. A zero weight that the step at the
-    iteration's first lam would push negative is held at its bound for that
-    iteration (a projected, active-set step; Kanzow, Yamashita and
-    Fukushima, J. Comput. Appl. Math. 172, 2004): its column of J is zeroed
-    and J J^T formed again, so every damping try keeps it at exactly 0. A
-    zero weight whose step points inward keeps its column and can revive.
-    The pin test runs only in an iteration that starts with a weight at 0;
+    steps by s = -J^T v, the minimiser of |J s + r|^2 + lam |s|^2. The
+    second model adds the term S = sum_a r_a grad^2 r_a that Gauss-Newton
+    drops, which is large where the residual stays large, as for a target
+    outside the set; there Gauss-Newton crawls. S is block diagonal over
+    atoms but for a rank-2 weight term, so each of its tries solves the
+    per-atom blocks and a Woodbury system of side k(k-1) + 1
+    (_newton_step). Every polish starts on Gauss-Newton, and
+    _prefers_newton picks each later iteration's model from the last
+    accepted step; a zero-residual polish stays on Gauss-Newton.
+
+    A zero weight that the Gauss-Newton step at the iteration's first lam
+    would push negative is held at its bound for that iteration (a
+    projected, active-set step; Kanzow, Yamashita and Fukushima, J. Comput.
+    Appl. Math. 172, 2004): its column of J is zeroed and the step formed
+    again, so every damping try keeps it at exactly 0. A zero weight whose
+    step points inward keeps its column and can revive. The pin test runs
+    only in an iteration that starts with a weight at 0; on Gauss-Newton,
     when it pins nothing, its solve is the first try's. While every weight
     is live, every atom turns. The polish ends after _GN_ITERS iterations,
     when no damping try lowers the misfit f, when f <= 0.01 tol^2, or once
@@ -572,31 +707,44 @@ def _gn_polish(p, atoms, target, d: int, tol: float):
     resid = achieved - target
     f = float(np.vdot(resid, resid).real)
     lam = 1e-4
+    newton, last = False, None
     for _ in range(_GN_ITERS):
         if f <= 0.01 * tol * tol:
             break
+        if last is not None:
+            newton = _prefers_newton(*last, d)
         live = p > 0.0
         all_live = live.all()
-        jac, rvec = _gn_system(p, atoms, grams, achieved, resid, d, idx)
-        gram = jac @ jac.T
-        v = np.linalg.solve(gram + lam * eye, rvec)
-        # pin each zero weight that the step at lam would push negative
+        pairs = grams.reshape(-1, 1) if d == 1 else _pair_products(atoms)
+        jac, rvec = _gn_system(p, grams, achieved, resid, pairs, d, idx)
+        # the Gauss-Newton solve at lam decides the pins on either model
+        if not newton or not all_live:
+            gram = jac @ jac.T
+            v = np.linalg.solve(gram + lam * eye, rvec)
         if not all_live:
             pin = ~live & (jac[:, :m_cnt].T @ v >= 0.0)
             if pin.any():
-                jac[:, np.flatnonzero(pin)] = 0.0
-                gram = jac @ jac.T
-                v = np.linalg.solve(gram + lam * eye, rvec)
-        neg_jt = -jac.T
+                jac[:, :m_cnt][:, pin] = 0.0
+                if not newton:
+                    gram = jac @ jac.T
+                    v = np.linalg.solve(gram + lam * eye, rvec)
+        hess = None
+        if newton:
+            hess = _hessian_blocks(p, pairs, resid, jac, rvec, d)
+            step_at = _newton_step(jac, rvec, hess)
+            step = step_at(lam)
+        else:
+            neg_jt = -jac.T
+            step = neg_jt @ v
+            step_at = lambda lam: neg_jt @ np.linalg.solve(gram + lam * eye, rvec)
         f_in = f
         for n_try in range(8):
             if n_try:
-                v = np.linalg.solve(gram + lam * eye, rvec)
-            step = neg_jt @ v
-            q = np.maximum(p + step[:m_cnt], 0.0)
-            s = q.sum()
+                step = step_at(lam)
+            raw = np.maximum(p + step[:m_cnt], 0.0)
+            s = raw.sum()
             if s > 0.0:
-                q = q / s
+                q = raw / s
                 if d == 1:
                     new_atoms = np.exp(1j * step[m_cnt:]).reshape(m_cnt, k, 1, 1) * atoms
                 else:
@@ -611,6 +759,10 @@ def _gn_polish(p, atoms, target, d: int, tol: float):
                 new_resid = new_ach - target
                 new_f = float(np.vdot(new_resid, new_resid).real)
                 if new_f < f:
+                    # the step as taken, its clip included, and the decrease
+                    # of |r|^2 (half that of f), for the next model choice
+                    step[:m_cnt] = raw - p
+                    last = (p, pairs, resid, jac, rvec, hess, step, 0.5 * (f - new_f))
                     p, atoms, grams = q, new_atoms, new_grams
                     achieved, resid, f = new_ach, new_resid, new_f
                     lam = max(lam / 3.0, 1e-12)

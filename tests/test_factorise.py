@@ -1,5 +1,6 @@
 """Unit tests for Gram certificates, dilation, correction and the solver."""
 
+import functools
 import io
 from contextlib import redirect_stderr
 
@@ -669,25 +670,89 @@ def _polish_capped(iters, *args):
         return fz._gn_polish(*args)
 
 
-def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60, solve="lu"):
-    """Reference Gauss-Newton polish, one (atom, tuple entry) pair at a time.
+def _pair_products_per_atom(atom):
+    """U_j U_i* for every ordered pair of entries of one (k, d, d) atom, as
+    rows (i, j) of a (k k, d^2) array, the layout of `_pair_products`."""
+    k, d = atom.shape[0], atom.shape[1]
+    flat = atom.reshape(k * d, d)
+    uu = (flat @ np.conj(flat.T)).reshape(k, d, k, d)
+    return uu.transpose(2, 0, 1, 3).reshape(-1, d * d)
 
-    solve="lu" takes each damped step s = -J^T (J J^T + lam I)^-1 r from one
-    `np.linalg.solve` per damping try, as `_gn_polish` does; solve="eigh"
-    from one eigendecomposition of the row Gram J J^T per iteration, the
-    step the solve replaced; solve="svd" from one thin SVD of the Jacobian,
-    s = -V diag(S / (S^2 + lam)) U^T r; solve="lstsq" re-solves the stacked
-    system [J; sqrt(lam) I] for every damping try. Each iteration first
-    takes the step at the current lam; every zero weight whose component of
-    it is <= 0 loses its column, and the step is formed again from the
-    reduced Jacobian. The polish ends once an accepted step lowers the
-    misfit by at most sqrt(eps) of it, or when no damping try lowers it.
+
+def _hessian_blocks_per_atom(p, atoms, resid, jac, rvec, d):
+    """`_hessian_blocks`, built one atom at a time: block m holds atom m's
+    weight shift and its rotations (i, x) of S = sum_a r_a grad^2 r_a."""
+    from mufact.factorise import _basis_pairs, _grams
+
+    m_cnt, k = atoms.shape[0], atoms.shape[1]
+    nb = d * d
+    side = 1 + k * nb
+    rc = np.conj(resid)
+    rc[range(k), range(k)] = 0.0
+    grad = jac[:, m_cnt:].T @ rvec
+    grams = _grams(atoms)
+    out = np.zeros((m_cnt, side, side))
+    for m in range(m_cnt):
+        pairs = grams[m].reshape(-1, 1) if d == 1 else _pair_products_per_atom(atoms[m])
+        kk = (pairs.reshape(k, k, nb) * rc[:, :, None]).reshape(-1, nb)
+        rot = (kk.view(float) @ _basis_pairs(d)).reshape(k, k, nb, nb)
+        for i in range(k):
+            within = rot[i].sum(axis=0)
+            rot[i, i] = -0.5 * (within + within.T)
+        out[m, 1:, 1:] = (rot.transpose(0, 2, 1, 3) * (p[m] / d)).reshape(k * nb, k * nb)
+        if p[m] > 0.0:
+            out[m, 0, 1:] = out[m, 1:, 0] = grad[m * k * nb:(m + 1) * k * nb] / p[m]
+    return out
+
+
+def _newton_step_per_atom(jac, rvec, hess, lam):
+    """The step on J^T J + S at lam, as `_newton_step` takes it, with each
+    atom's block solved on its own."""
+    m_cnt, side, rows = hess.shape[0], hess.shape[1], len(rvec)
+    cnt = rows + 1
+    vcols = np.zeros((m_cnt, side, cnt))
+    for m in range(m_cnt):
+        vcols[m, 0, :rows] = jac[:, m]
+        vcols[m, 0, rows] = jac[:, m].any()
+        lo = m_cnt + m * (side - 1)
+        vcols[m, 1:, :rows] = jac[:, lo:lo + side - 1].T
+    flat = vcols.reshape(-1, cnt)
+    cmat = np.eye(cnt)
+    cmat[:rows, rows] = cmat[rows, :rows] = -rvec
+    cmat[rows, rows] = 0.0
+    x = np.stack([np.linalg.solve(hess[m] + lam * np.eye(side), vcols[m]) for m in range(m_cnt)])
+    x = x.reshape(-1, cnt)
+    w = np.linalg.solve(np.eye(cnt) + (cmat @ flat.T) @ x, np.append(-rvec, 0.0))
+    s = (x @ w).reshape(m_cnt, side)
+    return np.concatenate([s[:, 0], s[:, 1:].ravel()])
+
+
+def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60, solve="lu", second_order=True):
+    """Reference polish, one (atom, tuple entry) pair at a time.
+
+    solve="lu" takes each damped Gauss-Newton step s = -J^T (J J^T + lam
+    I)^-1 r from one `np.linalg.solve` per damping try, as `_gn_polish`
+    does; solve="eigh" from one eigendecomposition of the row Gram J J^T
+    per iteration, the step the solve replaced; solve="svd" from one thin
+    SVD of the Jacobian, s = -V diag(S / (S^2 + lam)) U^T r; solve="lstsq"
+    re-solves the stacked system [J; sqrt(lam) I] for every damping try.
+    Each iteration first takes the Gauss-Newton step at the current lam;
+    every zero weight whose component of it is <= 0 loses its column, and
+    the step is formed again from the reduced Jacobian. The polish ends
+    once an accepted step lowers the misfit by at most sqrt(eps) of it, or
+    when no damping try lowers it.
+
+    With second_order, the iterations after the first may step on
+    J^T J + S instead, chosen from the last accepted step as
+    `_prefers_newton` chooses; S is built and its blocks solved one atom at
+    a time. Without it, every iteration is Gauss-Newton.
     """
     from mufact.factorise import _grams, _hermitian_basis
 
     m_cnt, k = atoms.shape[0], atoms.shape[1]
     nb = d * d
     basis = _hermitian_basis(d)
+    cols_x = basis.transpose(2, 1, 0).reshape(d * d, nb)
     pairs = k * (k - 1) // 2
     iu, ju = np.triu_indices(k, 1)
     p, atoms = p.copy(), atoms.copy()
@@ -696,16 +761,23 @@ def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60, solve="lu"):
     resid = achieved - target
     f = float(np.vdot(resid, resid).real)
     lam = 1e-4
+    newton, last = False, None
     for _ in range(iters):
         if f <= 0.01 * tol * tol:
             break
+        if last is not None:
+            newton = _prefers_newton_reference(*last, d)
         rvec = np.concatenate([resid[iu, ju].real, resid[iu, ju].imag])
         cols = np.zeros((pairs, m_cnt * (1 + k * nb)), dtype=complex)
         for m in range(m_cnt):
             cols[:, m] = (grams[m] - achieved)[iu, ju]
             if p[m] <= 0.0:
                 continue
-            tr = np.einsum("iba,xbc,jca->ixj", np.conj(atoms[m]), basis, atoms[m])
+            if d == 1:
+                tr = grams[m][:, None, :]
+            else:
+                prod = _pair_products_per_atom(atoms[m]) @ cols_x
+                tr = prod.reshape(k, k, nb).transpose(0, 2, 1)
             dg = -1j * p[m] * tr / d
             for i in range(k):
                 block = np.zeros((pairs, nb), dtype=complex)
@@ -714,10 +786,13 @@ def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60, solve="lu"):
                 block[hi, :] = np.conj(dg[i, :, iu[hi]])
                 col = m_cnt + (m * k + i) * nb
                 cols[:, col:col + nb] = block
-        jac = np.concatenate([cols.real, cols.imag])
+        # views of one [J | r] array, as `_gn_system` returns them: BLAS rounds
+        # J^T r differently for a strided r than for a contiguous one
+        jr = np.concatenate([np.concatenate([cols.real, cols.imag]), rvec[:, None]], axis=1)
+        jac, rvec = jr[:, :-1], jr[:, -1]
 
         def factor(jac):
-            """The damped step as a function of lam."""
+            """The damped Gauss-Newton step as a function of lam."""
             if solve == "lu":
                 gram, eye, neg_jt = jac @ jac.T, np.eye(len(rvec)), -jac.T
                 return lambda lam: neg_jt @ np.linalg.solve(gram + lam * eye, rvec)
@@ -738,12 +813,16 @@ def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60, solve="lu"):
 
             return lstsq
 
+        # hold each zero weight whose Gauss-Newton step at lam points outward at 0
         step_at = factor(jac)
-        # hold each zero weight whose step at lam points outward at 0
         pin = (p <= 0.0) & (step_at(lam)[:m_cnt] <= 0.0)
         if pin.any():
             jac[:, np.flatnonzero(pin)] = 0.0
             step_at = factor(jac)
+        hess = None
+        if newton:
+            hess = _hessian_blocks_per_atom(p, atoms, resid, jac, rvec, d)
+            step_at = functools.partial(_newton_step_per_atom, jac, rvec, hess)
         accepted = False
         f_in = f
         for _ in range(8):
@@ -751,6 +830,7 @@ def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60, solve="lu"):
             q = np.clip(p + step[:m_cnt], 0.0, None)
             s = q.sum()
             if s > 0.0:
+                taken = np.concatenate([q - p, step[m_cnt:]])
                 q = q / s
                 new_atoms = atoms.copy()
                 th = step[m_cnt:].reshape(m_cnt, k, nb)
@@ -770,6 +850,8 @@ def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60, solve="lu"):
                 new_resid = new_ach - target
                 new_f = float(np.vdot(new_resid, new_resid).real)
                 if new_f < f:
+                    if second_order:
+                        last = (p, atoms, resid, jac, rvec, hess, taken, 0.5 * (f - new_f))
                     p, atoms, grams = q, new_atoms, new_grams
                     achieved, resid, f = new_ach, new_resid, new_f
                     lam = max(lam / 3.0, 1e-12)
@@ -779,6 +861,34 @@ def _gn_polish_per_entry(p, atoms, target, d, tol, iters=60, solve="lu"):
         if not accepted or f_in - f <= np.sqrt(np.finfo(float).eps) * f_in:
             break
     return f, p, atoms
+
+
+def _prefers_newton_reference(p, atoms, resid, jac, rvec, hess, taken, drop, d):
+    """The model test of `_prefers_newton`, with S built one atom at a time."""
+    m_cnt = len(p)
+    js = jac @ taken
+    r_js, quad = rvec @ js, js @ js
+    miss = drop + 2.0 * r_js + quad
+    from_gn = hess is None
+    if from_gn:
+        if not abs(miss) > quad:
+            return False
+        hess = _hessian_blocks_per_atom(p, atoms, resid, jac, rvec, d)
+    sb = np.concatenate([taken[:m_cnt, None], taken[m_cnt:].reshape(m_cnt, -1)], axis=1)
+    curv = np.vdot(sb, hess @ sb[..., None]) - 2.0 * taken[:m_cnt].sum() * r_js
+    if from_gn and not abs(curv) > quad:
+        return False
+    return abs(miss + curv) < abs(miss)
+
+
+def _large_residual_case(d, live):
+    """The extreme target of `_extreme_target`, outside every d's set, and
+    four Haar atoms at equal weights, or with atom 1 at weight 0."""
+    rng = rng_from_seed(200 + 10 * d)
+    target = _extreme_target(rng)
+    atoms = random_haar_unitaries((4, 4), d, rng)
+    p = np.full(4, 0.25) if live else np.array([0.4, 0.0, 0.35, 0.25])
+    return target, atoms, p
 
 
 def _polish_case(d, live=False):
@@ -842,6 +952,175 @@ def test_a_zero_weight_atom_keeps_its_signed_zeros(d, iters):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("live", [True, False], ids=["all-live", "pinned"])
+def test_a_large_residual_polish_matches_the_per_entry_reference_bit_for_bit(
+    monkeypatch, d, live
+):
+    import mufact.factorise as fz
+
+    target, atoms, p = _large_residual_case(d, live)
+    calls, newton = [0], fz._newton_step
+
+    def counted(*args):
+        calls[0] += 1
+        return newton(*args)
+
+    monkeypatch.setattr(fz, "_newton_step", counted)
+    got = _polish_capped(60, p.copy(), atoms.copy(), target, d, 1e-6)
+    want = _gn_polish_per_entry(p, atoms, target, d, 1e-6, iters=60)
+    assert calls[0] > 0  # some iterations stepped on J^T J + S
+    assert _same_bits(got, want)
+
+
+def _second_order_system(p, atoms, target, d):
+    """J, r and the `_hessian_blocks` at the polish's start."""
+    from mufact.factorise import (
+        _gn_system, _grams, _hessian_blocks, _jacobian_map, _pair_products,
+    )
+
+    m_cnt, k = atoms.shape[0], atoms.shape[1]
+    grams = _grams(atoms)
+    achieved = np.einsum("m,mij->ij", p, grams)
+    resid = achieved - target
+    pairs = grams.reshape(-1, 1) if d == 1 else _pair_products(atoms)
+    jac, rvec = _gn_system(p, grams, achieved, resid, pairs, d, _jacobian_map(m_cnt, k, d))
+    return jac, rvec, _hessian_blocks(p, pairs, resid, jac, rvec, d)
+
+
+def _dense_s(jac, rvec, hess):
+    """S as one n x n array: the blocks laid out as the columns of J, less
+    e g^T + g e^T for the weights e not pinned and g = J^T r."""
+    m_cnt, side = hess.shape[0], hess.shape[1]
+    n = m_cnt * side
+    flat = np.arange(n).reshape(m_cnt, side)
+    flat[:, 0] = np.arange(m_cnt)
+    flat[:, 1:] = m_cnt + np.arange(m_cnt * (side - 1)).reshape(m_cnt, side - 1)
+    dense = np.zeros((n, n))
+    for m in range(m_cnt):
+        dense[np.ix_(flat[m], flat[m])] = hess[m]
+    e = np.zeros(n)
+    e[:m_cnt] = jac[:, :m_cnt].any(axis=0)
+    g = jac.T @ rvec
+    return dense - np.outer(e, g) - np.outer(g, e)
+
+
+def _pulled_back_misfit(p, atoms, target, d, steps):
+    """Half the squared residual above the diagonal after each step
+    (weight shifts, rotations): the weights (p + delta) / sum(p + delta),
+    each entry of a live atom turned by exp(iH), the others held still."""
+    from mufact.factorise import _grams, _hermitian_basis
+
+    m_cnt, k = atoms.shape[0], atoms.shape[1]
+    nb = d * d
+    q = p + steps[:, :m_cnt]
+    q = q / q.sum(axis=1, keepdims=True)
+    h = steps[:, m_cnt:].reshape(-1, nb) @ _hermitian_basis(d).reshape(nb, nb)
+    vals, vecs = np.linalg.eigh(h.reshape(len(steps), m_cnt, k, d, d))
+    turn = (vecs * np.exp(1j * vals)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    moved = np.where((p > 0.0)[:, None, None, None], turn @ atoms, atoms)
+    resid = np.einsum("bm,bmij->bij", q, _grams(moved)) - target
+    iu, ju = np.triu_indices(k, 1)
+    return 0.5 * (np.abs(resid[:, iu, ju]) ** 2).sum(axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("live", [True, False], ids=["all-live", "zero-weight"])
+def test_the_second_order_term_matches_a_central_difference_hessian(d, live):
+    # J^T J + S is the Hessian of the misfit the damping tries evaluate, at 0;
+    # the frozen rotations of an atom at weight 0 have no curvature in either
+    target, atoms, p, _ = _polish_case(d, live=live)
+    jac, rvec, hess = _second_order_system(p, atoms, target, d)
+    s_dense = _dense_s(jac, rvec, hess)
+    n, h = len(s_dense), 1e-4
+    free = np.ones(n, dtype=bool)
+    side = 1 + atoms.shape[1] * d * d
+    for m in np.flatnonzero(p <= 0.0):
+        free[len(p) + m * (side - 1):len(p) + (m + 1) * (side - 1)] = False
+    idx = np.flatnonzero(free)
+    a, b = np.triu_indices(len(idx))
+    eye = np.eye(n)[idx]
+    steps = np.concatenate([
+        h * (eye[a] + eye[b]), h * (eye[a] - eye[b]), h * (eye[b] - eye[a]), -h * (eye[a] + eye[b])
+    ])
+    f = _pulled_back_misfit(p, atoms, target, d, steps).reshape(4, -1)
+    fd = np.zeros((n, n))
+    fd[idx[a], idx[b]] = fd[idx[b], idx[a]] = (f[0] - f[1] - f[2] + f[3]) / (4 * h * h)
+    full = jac.T @ jac + s_dense
+    assert not np.any(full[~free]) and not np.any(s_dense[~free])
+    assert np.linalg.norm(full - fd) <= 1e-6 * np.linalg.norm(fd)
+    s_fd = fd - jac.T @ jac
+    assert np.linalg.norm(s_dense - s_fd) <= 1e-6 * np.linalg.norm(s_fd)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("live", [True, False], ids=["all-live", "pinned"])
+def test_the_woodbury_step_equals_a_dense_solve(d, live):
+    from mufact.factorise import _newton_step
+
+    target, atoms, p = _large_residual_case(d, live)
+    jac, rvec, hess = _second_order_system(p, atoms, target, d)
+    if not live:
+        jac[:, 1] = 0.0  # atom 1 pinned at weight 0
+    s_dense = _dense_s(jac, rvec, hess)
+    for lam in (1e-4, 1e-2, 1.0):
+        got = _newton_step(jac, rvec, hess)(lam)
+        want = np.linalg.solve(jac.T @ jac + s_dense + lam * np.eye(len(s_dense)), -jac.T @ rvec)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        if not live:
+            assert got[1] == 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_model_test_takes_the_model_that_predicted_nearer(d):
+    # with drop the decrease one model predicts exactly, that model wins
+    from mufact.factorise import _pair_products, _prefers_newton, _grams
+
+    target, atoms, p = _large_residual_case(d, True)
+    jac, rvec, hess = _second_order_system(p, atoms, target, d)
+    s_dense = _dense_s(jac, rvec, hess)
+    grams = _grams(atoms)
+    pairs = grams.reshape(-1, 1) if d == 1 else _pair_products(atoms)
+    resid = np.einsum("m,mij->ij", p, grams) - target
+    # mostly along the null space of J, where S is all the curvature there is
+    step = np.random.default_rng(d).standard_normal(len(s_dense)) * 1e-2
+    step -= np.linalg.pinv(jac) @ (jac @ step) * 0.99
+    js = jac @ step
+    gauss_newton = -(2.0 * rvec @ js + js @ js)
+    curv = step @ s_dense @ step
+    assert abs(curv) > js @ js  # S outweighs J^T J along this step
+    args = (p, pairs, resid, jac, rvec)
+    for blocks in (hess, None):
+        assert _prefers_newton(*args, blocks, step, gauss_newton - curv, d)
+        assert not _prefers_newton(*args, blocks, step, gauss_newton, d)
+    # from Gauss-Newton, S is not consulted when its miss is below |Js|^2
+    assert not _prefers_newton(*args, None, step, gauss_newton - 0.5 * (js @ js), d)
+
+
+def test_a_second_order_iteration_forms_no_array_of_side_n():
+    # k = 8, d = 3, M = 65: n = M (1 + k d^2) = 4,745, and a float64 n x n
+    # array alone would take 180 MB
+    import tracemalloc
+
+    from mufact.factorise import _newton_step
+
+    rng = rng_from_seed(95)
+    k, d, m_cnt = 8, 3, 65
+    target = random_tuple_ensemble(k, d, 3, rng).gram_average()
+    atoms = random_haar_unitaries((m_cnt, k), d, rng)
+    p = rng.dirichlet(np.ones(m_cnt))
+    tracemalloc.start()
+    try:
+        jac, rvec, hess = _second_order_system(p, atoms, target, d)
+        step = _newton_step(jac, rvec, hess)(1e-4)
+        _polish_capped(1, p.copy(), atoms.copy(), target, d, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step.shape == (m_cnt * (1 + k * d * d),) and np.isfinite(step).all()
+    assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_each_damping_try_solves_the_row_gram_once_and_a_pin_once_more(monkeypatch, d):
     import mufact.factorise as fz
 
@@ -877,6 +1156,47 @@ def test_each_damping_try_solves_the_row_gram_once_and_a_pin_once_more(monkeypat
         # the row Gram is never diagonalised; at d >= 2 the tries' rotations are
         # (m, k, d, d) stacks
         assert 2 not in eigh_ndims
+    # over a whole polish on a target outside the set: an iteration on
+    # J^T J + S solves the Gauss-Newton system once for the pin test if a
+    # weight is at 0, then per try the (m, 1 + k d^2)-square blocks once and
+    # the k(k-1) + 1-square Woodbury system once
+    events = []
+
+    def logged(name, fn):
+        def wrapped(*args, **kwargs):
+            events.append((name, np.shape(args[0]) if name == "solve" else None))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "solve", logged("solve", solve))
+    monkeypatch.setattr(fz, "_grams", logged("try", grams))
+    monkeypatch.setattr(fz, "_gn_system", logged("iteration", fz._gn_system))
+    monkeypatch.setattr(fz, "_newton_step", logged("newton", fz._newton_step))
+    for live in (True, False):
+        target, atoms, p = _large_residual_case(d, live)
+        events.clear()
+        _polish_capped(60, p.copy(), atoms.copy(), target, d, 1e-6)
+        side = 1 + 4 * d * d
+        blocks, woodbury, gram = (len(p), side, side), (13, 13), (12, 12)
+        segments = []
+        for name, shape in events[1:]:  # the first Gram stack precedes every iteration
+            if name == "iteration":
+                segments.append([])
+            else:
+                segments[-1].append((name, shape))
+        kinds = set()
+        for seg in segments:
+            tries = sum(name == "try" for name, _ in seg)
+            shapes = [shape for name, shape in seg if name == "solve"]
+            if ("newton", None) in seg:
+                kinds.add("newton")
+                pin_test = shapes[:len(shapes) - 2 * tries]
+                assert pin_test in ([], [gram])
+                assert shapes[len(pin_test):] == [blocks, woodbury] * tries
+            else:
+                kinds.add("gauss-newton")
+                assert shapes in ([gram] * tries, [gram] * (tries + 1))
+        assert kinds == {"newton", "gauss-newton"}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -913,19 +1233,27 @@ def test_solved_step_matches_the_eigh_step(d, live):
     assert np.abs(got[2] - want[2]).max() <= 1e-12 * np.abs(want[2]).max()
 
 
+def _traces_per_atom(atoms, d):
+    """tr(U_i* B_x U_j) at [m, i, x, j], read off each atom's pair products
+    U_j U_i* as `_gn_system` reads them."""
+    from mufact.factorise import _hermitian_basis
+
+    k, nb = atoms.shape[1], d * d
+    cols = _hermitian_basis(d).transpose(2, 1, 0).reshape(d * d, nb)
+    return np.stack([
+        (_pair_products_per_atom(atom) @ cols).reshape(k, k, nb).transpose(0, 2, 1)
+        for atom in atoms
+    ])
+
+
 def _gn_system_scattered(p, atoms, grams, achieved, resid, d):
     """J and r built as `_gn_polish` built them before the gather: rotation
     columns scattered into a zeroed array, then two concatenations."""
-    from mufact.factorise import _hermitian_basis
-
     m_cnt, k = atoms.shape[0], atoms.shape[1]
     iu, ju = np.triu_indices(k, 1)
     rows = np.arange(len(iu))
     r = resid[iu, ju]
-    if d == 1:
-        tr = grams[:, :, None, :]
-    else:
-        tr = np.einsum("miba,xbc,mjca->mixj", np.conj(atoms), _hermitian_basis(d), atoms)
+    tr = grams[:, :, None, :] if d == 1 else _traces_per_atom(atoms, d)
     dg = -1j * p[:, None, None, None] * tr / d
     rot = np.zeros((len(rows), m_cnt, k, d * d), dtype=complex)
     rot[rows, :, iu] = dg[:, iu, :, ju]
@@ -938,7 +1266,7 @@ def _gn_system_scattered(p, atoms, grams, achieved, resid, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_the_gathered_jacobian_matches_the_scattered_one_bit_for_bit(d):
-    from mufact.factorise import _grams, _gn_system, _jacobian_map
+    from mufact.factorise import _grams, _gn_system, _jacobian_map, _pair_products
 
     rng = rng_from_seed(80 + d)
     zero_weights = 0
@@ -951,12 +1279,23 @@ def test_the_gathered_jacobian_matches_the_scattered_one_bit_for_bit(d):
             target = random_tuple_ensemble(k, d, 2, rng).gram_average()
             grams = _grams(atoms)
             achieved = np.einsum("m,mij->ij", p, grams)
-            args = (p, atoms, grams, achieved, achieved - target, d)
-            got = _gn_system(*args, _jacobian_map(m_cnt, k, d))
-            want = _gn_system_scattered(*args)
+            resid = achieved - target
+            pairs = grams.reshape(-1, 1) if d == 1 else _pair_products(atoms)
+            got = _gn_system(p, grams, achieved, resid, pairs, d, _jacobian_map(m_cnt, k, d))
+            want = _gn_system_scattered(p, atoms, grams, achieved, resid, d)
             assert _same_bits(got, want)
             assert got[0].shape == (k * (k - 1), m_cnt * (1 + k * d * d))
     assert zero_weights > 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_the_pair_product_traces_match_the_three_factor_trace(d):
+    # the traces that `_gn_system` reads off U_j U_i* are tr(U_i* B_x U_j)
+    from mufact.factorise import _hermitian_basis
+
+    atoms = random_haar_unitaries((5, 4), d, rng_from_seed(90 + d))
+    want = np.einsum("miba,xbc,mjca->mixj", np.conj(atoms), _hermitian_basis(d), atoms)
+    assert np.abs(_traces_per_atom(atoms, d) - want).max() <= 1e-14
 
 
 @pytest.mark.parametrize(
@@ -1009,6 +1348,37 @@ def test_a_polish_that_crawls_ends_on_its_stop_before_its_cap():
         assert got[0] == free[0]
         assert np.array_equal(got[1], free[1])
         assert np.array_equal(got[2], free[2])
+
+
+def _crawl_escape_input(monkeypatch):
+    """The extreme target of the crawl test, and the input of the escape
+    polish of the first solver iteration on it: the polish a distance bound
+    at d = 2 runs first."""
+    import mufact.factorise as fz
+
+    target = _extreme_target(rng_from_seed(1))
+    seen, polish = [], fz._gn_polish
+    monkeypatch.setattr(fz, "_gn_polish", lambda *a: seen.append(a) or polish(*a))
+    membership_solve(target, 2, atoms=5, restarts=1, max_iters=1, tol=1e-6, seed=1)
+    monkeypatch.undo()
+    return seen[0][0], seen[0][1], target
+
+
+def test_a_distance_polish_ends_on_its_stop_no_higher_than_uncapped_gauss_newton(
+    monkeypatch,
+):
+    from mufact.factorise import _GN_ITERS
+
+    p, atoms, target = _crawl_escape_input(monkeypatch)
+    capped = _polish_capped(_GN_ITERS, p.copy(), atoms.copy(), target, 2, 1e-6)
+    free = _polish_capped(10_000, p.copy(), atoms.copy(), target, 2, 1e-6)
+    gauss_newton = _gn_polish_per_entry(p, atoms, target, 2, 1e-6, iters=10_000, second_order=False)
+    # the same bits with and without the cap: the polish stopped on its own
+    assert _same_bits(capped, free)
+    assert capped[0] <= gauss_newton[0] * (1.0 + 1e-9)
+    # where Gauss-Newton alone, held to the cap, ends higher
+    held = _gn_polish_per_entry(p, atoms, target, 2, 1e-6, iters=_GN_ITERS, second_order=False)
+    assert held[0] > gauss_newton[0]
 
 
 def test_a_rank_deficient_jacobian_gives_a_finite_step():
