@@ -1536,12 +1536,17 @@ def test_atom_sweep_matches_the_reference_bit_for_bit(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_the_cached_hermitian_basis_is_read_only(d):
-    from mufact.factorise import _hermitian_basis
+    from mufact.factorise import _basis_pairs, _hermitian_basis
 
     basis = _hermitian_basis(d)
     with pytest.raises(ValueError):
         basis[0, 0, 0] = 2.0
     assert _hermitian_basis(d) is basis and basis[0, 0, 0] == 1.0
+    # and the basis products that the second-order term reads
+    pairs = _basis_pairs(d)
+    with pytest.raises(ValueError):
+        pairs[0, 0] = 2.0
+    assert _basis_pairs(d) is pairs and pairs[0, 0] == 1.0
 
 
 @pytest.mark.parametrize("bad", ["zero", "inf", "nan"])
