@@ -91,11 +91,12 @@ def _load_choi(path: str, digests: dict | None = None) -> ChoiMatrix:
     return ChoiMatrix(m, k)
 
 
-def _emit(args, results: dict, inputs: tuple[str, ...], certificate=None) -> dict:
+def _emit(args, results: dict, inputs: tuple[str, ...], certificate=None, trace=None) -> dict:
     """Write the report of args.command; inputs names the arguments that hold
     input paths, each reported with the sha256 of the bytes loaded from it.
     A certificate is written to <out>.certificate.json first, and its path
-    added to the results."""
+    added to the results. A trace (counts that explain the run) goes under
+    its own top-level key, outside the deterministic results."""
     if certificate is not None:
         results["certificate_path"] = cert_path = args.out + ".certificate.json"
         fileio.save_json(cert_path, fileio.certificate_to_json(certificate))
@@ -104,6 +105,8 @@ def _emit(args, results: dict, inputs: tuple[str, ...], certificate=None) -> dic
         args.command, args._argv, {name: (p, args._digests[p]) for name, p in paths.items()},
         getattr(args, "seed", None), results, time.perf_counter() - args._t0,
     )
+    if trace is not None:
+        report["trace"] = trace
     out = getattr(args, "out", None)
     if out:
         fileio.save_json(out, report)
@@ -210,7 +213,8 @@ def _cmd_norms(args) -> int:
     }
     if args.psd:
         results["psd_norm"] = schur_norm_psd(a)
-    print(fileio.dumps(_emit(args, results, ("A",))["results"]))
+    report = _emit(args, results, ("A",), trace={"cb_steps": est.iterations})
+    print(fileio.dumps(report["results"]))
     return 0
 
 

@@ -8,19 +8,21 @@ and every trace norm ||D_x A D_y||_1 at positive unit x, y (equal to
 |x^T (A o W) y| for a unitary W) is a lower end. One SVD of D_x A D_y
 gives both, a factorisation from its factors and the trace norm from its
 singular values, so `schur_cb_norm` brackets the norm with one loop of
-such steps; both ends are sound. Three factorisations with closed-form
-bounds start the upper end: A = A I (the row norms), A = I A (the column
-norms), and the split of A into the positive and negative parts of its
-Hermitian and skew parts. So every upper end is a factorisation. The
-bracket keeps a witness for each end (the weights and unitary (x, y, W)
-of the lower end, the factors (R, C) of the upper end), and
-`NormEstimate.check` recomputes both ends from them. Since W is unitary,
+such steps; both ends are sound, whatever path the weights take (an
+accelerated fixed point, see schur_cb_norm). Three factorisations with
+closed-form bounds start the upper end: A = A I (the row norms), A = I A
+(the column norms), and the split of A into the positive and negative
+parts of its Hermitian and skew parts. So every upper end is a
+factorisation. The bracket keeps a witness for each end (the weights and
+unitary (x, y, W) of the lower end, the factors (R, C) of the upper end),
+and `NormEstimate.check` recomputes both ends from them. Since W is unitary,
 ||A o W|| lies between the two ends: one more SVD gives a sound lower
 bound on the operator norm of S_A, `NormEstimate.witness_norm`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +32,12 @@ from .linalg import _check_tols, as_matrix, dagger, herm_eig, op_norm, rng_from_
 from .linalg import below_psd_floor, random_haar_unitaries, require_finite, unitarity_defects
 from .channels import UNITARY_TOL, choi_of, to_blocks
 
-# certificate steps per bracket; acceptance 10's slowest symbol takes 1,473
+# certificate steps per bracket; acceptance 10's slowest symbol takes 284
 _MAX_STEPS = 4000
 # least certificate weight: at 1e-12 rounding in RC swamps the E term
 _FLOOR = 1e-4
+# past certificate steps that the accelerated weight step mixes
+_DEPTH = 3
 # drift that NormEstimate.check allows: in the ends, relative to the upper
 # end, and in the weights' unit norms
 WITNESS_TOL = 1e-12
@@ -61,9 +65,9 @@ class NormEstimate:
     upper_witness: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.lower > self.upper * (1.0 + 1e-9):
+        if not self.lower <= self.upper * (1.0 + 1e-9):  # a NaN end fails too
             raise MufactError(
-                f"norm bracket is inverted: lower={self.lower!r} upper={self.upper!r}"
+                f"norm bracket is inverted or NaN: lower={self.lower!r} upper={self.upper!r}"
             )
 
     def witness_norm(self, a) -> float:
@@ -88,7 +92,8 @@ class NormEstimate:
         Raises MufactError unless the witnesses fit a's size, the weights
         are nonnegative with norm 1 within WITNESS_TOL, w is unitary within
         UNITARY_TOL, and both recomputed ends are within WITNESS_TOL * upper
-        of the reported ones.
+        of the reported ones. Like schur_cb_norm, it works on a * 2**-e
+        (see _exponent).
         """
         m = as_matrix(a)
         if self.lower_witness is None or self.upper_witness is None:
@@ -112,8 +117,10 @@ class NormEstimate:
                 raise MufactError("lower-end weights are not unit and nonnegative")
         if not unitarity_defects(w) <= UNITARY_TOL:
             raise MufactError("lower-end witness is not unitary")
-        lower = abs(x @ (m * w) @ y)
-        upper = _factor_bound(m, r, c)[0]
+        e = _exponent(m)
+        m = _pow2(m, -e)
+        lower = _pow2(abs(x @ (m * w) @ y), e)
+        upper = _pow2(_factor_bound(m, _pow2(r, -e // 2), _pow2(c, -e // 2))[0], e)
         for end, fresh, given in (("lower", lower, self.lower), ("upper", upper, self.upper)):
             if not abs(fresh - given) <= WITNESS_TOL * self.upper:
                 raise MufactError(f"{end} end {given!r} does not reproduce: witness gives {fresh!r}")
@@ -150,6 +157,21 @@ def _split_factors(m):
     return np.hstack(rs), np.vstack(cs)
 
 
+def _exponent(m) -> int:
+    """The even e with max|m_ij| = f * 2**e, 1/4 <= f < 1: m * 2**-e has
+    no squared entry that underflows or overflows, and since e is even
+    square roots scale exactly too, so its bracket scaled by 2**e is m's,
+    bit for bit, away from underflow."""
+    e = math.frexp(float(np.abs(m).max()))[1]
+    return e + e % 2
+
+
+def _pow2(a, e: int):
+    """a * 2**e, exact unless an entry under- or overflows; in two steps,
+    so that neither power overflows."""
+    return a * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
+
+
 def _norms(a, axis: int) -> np.ndarray:
     """Euclidean norms of a's rows (axis=1) or columns (axis=0): what
     np.linalg.norm(a, axis=axis) computes, bit for bit, without its checks."""
@@ -159,9 +181,12 @@ def _norms(a, axis: int) -> np.ndarray:
 def _row_col_bound(m) -> float:
     """cb bound min(max row norm, max column norm) of a symbol.
 
-    a_ij = <conj(row_i), e_j> gives the row bound; columns likewise.
+    a_ij = <conj(row_i), e_j> gives the row bound; columns likewise. The
+    square root, monotone and correctly rounded, is taken once: this is
+    the min of the max of _norms, bit for bit.
     """
-    return float(min(_norms(m, 1).max(), _norms(m, 0).max()))
+    sq = (m.conj() * m).real
+    return math.sqrt(min(np.add.reduce(sq, 1).max(), np.add.reduce(sq, 0).max()))
 
 
 def _factor_bound(m, r, c):
@@ -175,10 +200,37 @@ def _factor_bound(m, r, c):
     return float(rows.max() * cols.max()) + _row_col_bound(m - r @ c), rows, cols
 
 
-def _reweigh(w, norms, trace: float):
-    """Damped step toward norms_i**2 == trace, floored, then made unit."""
-    w = np.maximum(w * (norms ** 2 / trace) ** 0.25, _FLOOR)
-    return w / np.linalg.norm(w)
+def _unit(v):
+    """v, weights x and y end to end, floored at _FLOOR, then each made unit."""
+    w = np.maximum(v, _FLOOR).reshape(2, -1)
+    return (w / np.sqrt((w * w).sum(1, keepdims=True))).ravel()
+
+
+def _mix(df, dg, f, g):
+    """Type-II Anderson point g - dg^T t, t the least-squares fit of f by
+    the rows of df, or g itself when those rows are near dependent.
+
+    The normal equations (df df^T) t = df f are solved by elimination
+    without pivoting; a pivot at or below 1e-10 of its row's squared norm
+    (a row within 1e-5 radians of the span of the rows before it, or a
+    zero row) marks the history degenerate.
+    """
+    gram, t = (df @ df.T).tolist(), (df @ f).tolist()
+    n = len(t)
+    diag = [gram[i][i] for i in range(n)]
+    for i in range(n):
+        if not gram[i][i] > 1e-10 * diag[i]:
+            return g
+        for j in range(i + 1, n):
+            q = gram[j][i] / gram[i][i]
+            for l in range(i + 1, n):
+                gram[j][l] -= q * gram[i][l]
+            t[j] -= q * t[i]
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            t[i] -= gram[i][j] * t[j]
+        t[i] /= gram[i][i]
+    return g - np.dot(t, dg)
 
 
 def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
@@ -194,13 +246,25 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
     falls to max_i ||R_i|| * max_j ||C^j|| plus the cb bound of E = A - RC
     (the smaller of its largest row and column norms): RC equals A only up
     to rounding, and the E term keeps the bound sound. The lower end rises
-    to ||B||_1. Then x_i is scaled by (||R_i||^2 / ||B||_1)^(1/4), y
-    likewise; at the fixed point ||R_i||^2 = ||C^j||^2 = ||B||_1 and the
+    to ||B||_1. The plain update scales x_i by (||R_i||^2 / ||B||_1)^(1/4),
+    y likewise; at its fixed point ||R_i||^2 = ||C^j||^2 = ||B||_1 and the
     bracket closes. Weights are floored at 1e-4 before they are normalised,
     because a weight near 1e-9 blows the rounding in RC, and the E term
-    with it, up to the order of ||A||. Steps stop once upper - lower <=
-    rel_gap * upper, or after a fixed cap, in which case the gap can stay
-    above `rel_gap`.
+    with it, up to the order of ||A||.
+
+    The plain update closes the gap linearly, about 8 steps per decade, so
+    the next weights are the type-II Anderson point (Walker and Ni, SIAM J.
+    Numer. Anal. 49, 2011) of the last _DEPTH + 1 plain updates on
+    (log x, log y), floored and normalised the same way (see _mix). A step
+    taken at an Anderson point must lower its own gap (its factorisation's
+    bound minus ||B||_1) below the gap of the step before it; if it does
+    not, the next step is that earlier step's plain update, and the history
+    starts afresh. A degenerate history also gives the plain update. Steps
+    stop once upper - lower <= rel_gap * upper, or after a fixed cap, in
+    which case the gap can stay above `rel_gap`. The steps run on A * 2**-e,
+    whose largest entry lies in [1/4, 1), so that no squared entry of a tiny
+    or huge symbol underflows or overflows; the ends and factors are scaled
+    back exactly (see _exponent).
 
     The estimate carries a witness for each end (see NormEstimate). The
     lower end's is (x, y, conj(U V*)) of the step that set it, since
@@ -216,24 +280,38 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"symbol must be square, got {m.shape}")
     k = m.shape[0]
-    mag = np.abs(m)
-    scale = float(mag.max(initial=0.0))
-    if scale == 0.0 or k == 0:
+    if k == 0 or not m.any():
         return NormEstimate(0.0, 0.0)
+    e = _exponent(m)
+    m = _pow2(m, -e)
+    mag = np.abs(m)
+    scale = float(mag.max())
     i, j = divmod(int(mag.argmax()), k)
     eye = np.eye(k)
     # (x, y, U, V*) of the step that set the lower end; W = conj(U V*) is
     # formed once, at return. The start's W is the cyclic shift itself.
     lower, lower_by = scale, (eye[i], eye[j], np.roll(eye, j - i, axis=1), eye)
-    starts = ((m, eye), (eye, m), _split_factors(m))
-    upper, upper_by = min(((_factor_bound(m, *rc)[0], rc) for rc in starts), key=lambda t: t[0])
+    # A I and I A factor A exactly (their E is 0), so their bounds are the
+    # largest row and column norms
+    split = _split_factors(m)
+    starts = ((float(_norms(m, 1).max()), (m, eye)), (float(_norms(m, 0).max()), (eye, m)),
+              (_factor_bound(m, *split)[0], split))
+    upper, upper_by = min(starts, key=lambda t: t[0])
     # rounding can leave a bound a hair below max|a_ij| (the split of a PSD
     # symbol, by an ulp)
     upper = max(upper, lower)
-    x = y = np.full(k, k ** -0.5)
+    # x and y end to end, their logs, and the differences of the last
+    # _DEPTH plain-step residuals log g - log v and iterates log g, a ring
+    v = np.full(2 * k, k ** -0.5)
+    lv = np.log(v)
+    df, dg = np.empty((2, _DEPTH, 2 * k))
+    held = 0
+    prev = None
+    last, mixed = np.inf, False
     steps = 0
     while steps < _MAX_STEPS and upper - lower > rel_gap * upper:
         steps += 1
+        x, y = v[:k], v[k:]
         u, s, vh = np.linalg.svd(x[:, None] * m * y[None, :])
         root = np.sqrt(s)
         r = (u * root) / x[:, None]
@@ -244,11 +322,34 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
             upper, upper_by = bound, (r, c)
         if min(trace, upper) > lower:
             lower, lower_by = min(trace, upper), (x, y, u, vh)
-        x = _reweigh(x, rows, trace)
-        y = _reweigh(y, cols, trace)
+        if mixed and not bound - trace < last:
+            # the accelerated point did worse than the step before it:
+            # restart from that step's plain iterate, with no history
+            v, lv, held, prev, mixed = g, lg, 0, None, False
+            continue
+        last = bound - trace
+        # the damped step toward ||R_i||^2 = ||C^j||^2 = ||B||_1
+        g = _unit(v * (np.concatenate((rows, cols)) ** 2 / trace) ** 0.25)
+        lg = np.log(g)
+        f = lg - lv
+        if prev is not None:
+            df[held % _DEPTH] = f - prev[0]
+            dg[held % _DEPTH] = lg - prev[1]
+            held += 1
+        prev = f, lg
+        z = _mix(df[:held], dg[:held], f, lg) if held else lg
+        mixed = z is not lg
+        if mixed:
+            z = z.reshape(2, k)
+            v = _unit(np.exp(z - z.max(1, keepdims=True)))
+            lv = np.log(v)
+        else:
+            v, lv = g, lg
     x, y, u, vh = lower_by
-    return NormEstimate(lower, upper, iterations=steps,
-                        lower_witness=(x, y, np.conj(u @ vh)), upper_witness=upper_by)
+    r, c = upper_by
+    return NormEstimate(_pow2(lower, e), _pow2(upper, e), iterations=steps,
+                        lower_witness=(x, y, np.conj(u @ vh)),
+                        upper_witness=(_pow2(r, e // 2), _pow2(c, e // 2)))
 
 
 def superop_norm_lb(phi, dim: int | None = None, seed: int = 0) -> float:

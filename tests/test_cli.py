@@ -350,6 +350,25 @@ def test_norms_results_do_not_depend_on_the_seed(tmp_path):
     assert results[0] == results[1]
 
 
+def test_norms_reports_the_bracket_steps_outside_the_results(tmp_path):
+    z = np.random.default_rng(9).standard_normal((4, 4))
+    sym = z + 1j * z.T
+    a = str(tmp_path / "a.json")
+    fileio.save_matrix(a, sym)
+    rep = str(tmp_path / "norms.json")
+    rc, out, _ = run(["norms", "--A", a, "--out", rep])
+    assert rc == 0
+    report = fileio.load_json(rep)
+    est = norms.schur_cb_norm(fileio.load_matrix(a))
+    assert est.iterations > 0 and report["trace"] == {"cb_steps": est.iterations}
+    # the results are those of a report without the trace, byte for byte
+    results = {"cb_lower": est.lower, "cb_upper": est.upper,
+               "cb_method": "haagerup-certificate", "superop_lb": est.witness_norm(sym)}
+    assert fileio.dumps(report["results"]) == fileio.dumps(fileio.rounded(results)) == out.strip()
+    bare = fileio.report_json("norms", [], {}, None, {}, 0.0)
+    assert set(report) == set(bare) | {"trace"}
+
+
 def test_norms_rejects_non_square_symbol(tmp_path):
     a = str(tmp_path / "a.json")
     fileio.save_matrix(a, np.zeros((2, 3)))
