@@ -99,7 +99,7 @@ def _emit(args, results: dict, inputs: tuple[str, ...], certificate=None, trace=
     its own top-level key, outside the deterministic results."""
     if certificate is not None:
         results["certificate_path"] = cert_path = args.out + ".certificate.json"
-        fileio.save_json(cert_path, fileio.certificate_to_json(certificate))
+        fileio.save_certificate(cert_path, certificate)
     paths = {name: getattr(args, name) for name in inputs}
     report = fileio.report_json(
         args.command, args._argv, {name: (p, args._digests[p]) for name, p in paths.items()},
@@ -126,13 +126,13 @@ def _cmd_gen(args) -> int:
         return 0
     ens = random_tuple_ensemble(args.k, args.d, args.atoms, rng)
     if args.kind == "tuple":
-        fileio.save_json(args.out, fileio.tuple_ensemble_to_json(ens))
+        fileio.save_ensemble(args.out, ens)
         print(f"wrote {ens.size}-atom tuple ensemble (k={args.k}, d={args.d}) to {args.out}")
         return 0
     c_path = args.out + ".correlation.json"
     e_path = args.out + ".ensemble.json"
     fileio.save_matrix(c_path, ens.gram_average())
-    fileio.save_json(e_path, fileio.tuple_ensemble_to_json(ens))
+    fileio.save_ensemble(e_path, ens)
     print(f"wrote planted correlation to {c_path} and its witness to {e_path}")
     return 0
 
@@ -164,7 +164,7 @@ def _cmd_mu(args) -> int:
     if ens.k == 0:
         raise FileFormatError(f"{args.tuples}: tuples must have at least one entry")
     mu = mu_ensemble_from_tuples(ens)
-    fileio.save_json(args.out, fileio.ensemble_to_json(mu))
+    fileio.save_ensemble(args.out, mu)
     print(f"wrote mixed-unitary ensemble with {mu.size} members to {args.out}")
     return 0
 
@@ -173,7 +173,7 @@ def _cmd_extract(args) -> int:
     ens = _load_ensemble(args.ensemble, MixedUnitaryEnsemble)
     c = fileio.load_matrix(args.C)
     tuples = tuples_from_ensemble(ens, c, args.d, args.k, tol=args.tol)
-    fileio.save_json(args.out, fileio.tuple_ensemble_to_json(tuples))
+    fileio.save_ensemble(args.out, tuples)
     print(f"extracted {tuples.size} tuples to {args.out}")
     return 0
 
@@ -213,7 +213,9 @@ def _cmd_norms(args) -> int:
     }
     if args.psd:
         results["psd_norm"] = schur_norm_psd(a)
-    report = _emit(args, results, ("A",), trace={"cb_steps": est.iterations})
+    trace = {"cb_steps": est.iterations, "lower_step": est.lower_step,
+             "upper_step": est.upper_step, "upper_start": est.upper_start}
+    report = _emit(args, results, ("A",), trace=trace)
     print(fileio.dumps(report["results"]))
     return 0
 

@@ -50,8 +50,11 @@ _SUPEROP_ITERS = 60
 class NormEstimate:
     """Bracket [lower, upper] for a norm.
 
-    `iterations` counts the certificate steps spent on the bracket. The
-    witnesses are left out of equality. `lower_witness` is (x, y, w), unit
+    `iterations` counts the certificate steps spent on the bracket.
+    `lower_step` and `upper_step` are the steps that set each end, 0 for a
+    start; `upper_start` names the start ("rows", "columns" or "split")
+    when one set the upper end, else it is None. These and the witnesses
+    are left out of equality. `lower_witness` is (x, y, w), unit
     nonnegative weights and a unitary with lower == |x^T (A o w) y|.
     `upper_witness` is the factors (r, c), a = rc up to rounding, of the
     factorisation that set the upper end: a certificate step's, or one of
@@ -61,6 +64,9 @@ class NormEstimate:
     lower: float
     upper: float
     iterations: int = 0
+    lower_step: int = field(default=0, compare=False, repr=False)
+    upper_step: int = field(default=0, compare=False, repr=False)
+    upper_start: str | None = field(default=None, compare=False, repr=False)
     lower_witness: tuple | None = field(default=None, compare=False, repr=False)
     upper_witness: tuple | None = field(default=None, compare=False, repr=False)
 
@@ -270,10 +276,11 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
     lower end's is (x, y, conj(U V*)) of the step that set it, since
     ||B||_1 = tr(U* B V) = x^T (A o conj(U V*)) y; while max|a_ij| still
     sets it, it is (e_i, e_j) and the cyclic shift with w_ij = 1. The upper
-    end's is the (R, C) of the factorisation that set it. A non-square
-    symbol raises ShapeMismatch; a NaN or infinite entry, or a Frobenius
-    norm that overflows, MufactError, as does a rel_gap that is not finite
-    and >= 0.
+    end's is the (R, C) of the factorisation that set it. The estimate also
+    records the step that set each end and, for an upper end that a start
+    set, which start. A non-square symbol raises ShapeMismatch; a NaN or
+    infinite entry, or a Frobenius norm that overflows, MufactError, as does
+    a rel_gap that is not finite and >= 0.
     """
     _check_tols(rel_gap=rel_gap)
     m = require_finite(as_matrix(a), "symbol")
@@ -290,13 +297,15 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
     eye = np.eye(k)
     # (x, y, U, V*) of the step that set the lower end; W = conj(U V*) is
     # formed once, at return. The start's W is the cyclic shift itself.
-    lower, lower_by = scale, (eye[i], eye[j], np.roll(eye, j - i, axis=1), eye)
+    lower, lower_by, lower_step = scale, (eye[i], eye[j], np.roll(eye, j - i, axis=1), eye), 0
     # A I and I A factor A exactly (their E is 0), so their bounds are the
     # largest row and column norms
     split = _split_factors(m)
-    starts = ((float(_norms(m, 1).max()), (m, eye)), (float(_norms(m, 0).max()), (eye, m)),
-              (_factor_bound(m, *split)[0], split))
-    upper, upper_by = min(starts, key=lambda t: t[0])
+    starts = ((float(_norms(m, 1).max()), (m, eye), "rows"),
+              (float(_norms(m, 0).max()), (eye, m), "columns"),
+              (_factor_bound(m, *split)[0], split, "split"))
+    upper, upper_by, upper_start = min(starts, key=lambda t: t[0])
+    upper_step = 0
     # rounding can leave a bound a hair below max|a_ij| (the split of a PSD
     # symbol, by an ulp)
     upper = max(upper, lower)
@@ -319,9 +328,9 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
         bound, rows, cols = _factor_bound(m, r, c)
         trace = float(s.sum())
         if bound < upper:
-            upper, upper_by = bound, (r, c)
+            upper, upper_by, upper_step, upper_start = bound, (r, c), steps, None
         if min(trace, upper) > lower:
-            lower, lower_by = min(trace, upper), (x, y, u, vh)
+            lower, lower_by, lower_step = min(trace, upper), (x, y, u, vh), steps
         if mixed and not bound - trace < last:
             # the accelerated point did worse than the step before it:
             # restart from that step's plain iterate, with no history
@@ -348,6 +357,7 @@ def schur_cb_norm(a, rel_gap: float = 1e-4) -> NormEstimate:
     x, y, u, vh = lower_by
     r, c = upper_by
     return NormEstimate(_pow2(lower, e), _pow2(upper, e), iterations=steps,
+                        lower_step=lower_step, upper_step=upper_step, upper_start=upper_start,
                         lower_witness=(x, y, np.conj(u @ vh)),
                         upper_witness=(_pow2(r, e // 2), _pow2(c, e // 2)))
 

@@ -360,13 +360,24 @@ def test_norms_reports_the_bracket_steps_outside_the_results(tmp_path):
     assert rc == 0
     report = fileio.load_json(rep)
     est = norms.schur_cb_norm(fileio.load_matrix(a))
-    assert est.iterations > 0 and report["trace"] == {"cb_steps": est.iterations}
+    assert est.iterations > 0 and est.upper_start is None
+    assert report["trace"] == {"cb_steps": est.iterations, "lower_step": est.lower_step,
+                               "upper_step": est.upper_step, "upper_start": None}
     # the results are those of a report without the trace, byte for byte
     results = {"cb_lower": est.lower, "cb_upper": est.upper,
                "cb_method": "haagerup-certificate", "superop_lb": est.witness_norm(sym)}
     assert fileio.dumps(report["results"]) == fileio.dumps(fileio.rounded(results)) == out.strip()
     bare = fileio.report_json("norms", [], {}, None, {}, 0.0)
     assert set(report) == set(bare) | {"trace"}
+
+
+def test_norms_names_the_start_that_set_the_upper_end(tmp_path):
+    a = str(tmp_path / "a.json")
+    fileio.save_matrix(a, 2.0 * mufact.random_correlation(4, mufact.rng_from_seed(14)))
+    rep = str(tmp_path / "norms.json")
+    assert run(["norms", "--A", a, "--psd", "--out", rep])[0] == 0
+    trace = fileio.load_json(rep)["trace"]
+    assert trace == {"cb_steps": 0, "lower_step": 0, "upper_step": 0, "upper_start": "split"}
 
 
 def test_norms_rejects_non_square_symbol(tmp_path):

@@ -162,6 +162,44 @@ def test_cb_norm_is_deterministic():
     assert schur_cb_norm(a) == e1
 
 
+def _hermitian_903():
+    """A Hermitian k = 5 symbol whose lower end is set 74 steps before its
+    upper end."""
+    rng = np.random.default_rng(903)
+    k = int(rng.integers(2, 7))
+    z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    return 0.5 * (z + z.conj().T)
+
+
+@pytest.mark.parametrize("symbol", ["residual", "hermitian"])
+def test_the_step_that_set_each_end_is_recorded(monkeypatch, symbol):
+    a = _residual(12) if symbol == "residual" else _hermitian_903()
+    est = schur_cb_norm(a)
+    assert est.upper_start is None and 0 < est.upper_step <= est.iterations
+    if symbol == "hermitian":
+        assert 0 < est.lower_step < est.upper_step
+    for end, step in (("lower", est.lower_step), ("upper", est.upper_step)):
+        # a bracket capped at that step has reached the end, one capped a step short has not
+        monkeypatch.setattr(norms, "_MAX_STEPS", step)
+        assert getattr(schur_cb_norm(a), end) == getattr(est, end)
+        monkeypatch.setattr(norms, "_MAX_STEPS", step - 1)
+        assert getattr(schur_cb_norm(a), end) != getattr(est, end)
+
+
+def test_the_start_that_set_the_upper_end_is_named():
+    v = np.array([0.5, -2.0, 1.0, 0.25])
+    for a, start in (
+        (np.outer(v, [0, 1, 0, 0]), "rows"),  # one column: its largest row is the norm
+        (np.outer([0, 0, 1, 0], v), "columns"),
+        (1.5 * random_correlation(4, rng_from_seed(3)), "split"),  # PSD
+    ):
+        est = schur_cb_norm(a)
+        assert (est.iterations, est.lower_step, est.upper_step, est.upper_start) == (0, 0, 0, start)
+        # left out of equality, like the witnesses
+        assert replace(est, lower_step=2, upper_step=1, upper_start=None) == est
+    assert schur_cb_norm(np.zeros((2, 2))).upper_start is None
+
+
 @pytest.mark.parametrize("symbol", ["indefinite", "psd"])
 def test_every_svd_of_the_bracket_is_a_certificate_step(monkeypatch, symbol):
     # one SVD per certificate step sets both ends; nothing else decomposes
